@@ -20,6 +20,19 @@ CrossTrafficSource::CrossTrafficSource(Network& network, NodeId src,
 }
 
 void CrossTrafficSource::start() {
+  for (std::size_t i = 0; i < network_.link_count() && out_ == nullptr; ++i) {
+    Link& link = network_.link(i);
+    if ((link.a() == src_ || link.b() == src_) && link.peer_of(src_) == dst_) {
+      out_ = &link.direction_from(src_);
+    }
+  }
+  RV_CHECK(out_ != nullptr) << "cross traffic needs adjacent nodes: no link "
+                            << "joins " << src_ << " and " << dst_;
+  // Injection bypasses routing, so it must pick the link routing would.
+  RV_CHECK(network_.node(src_).route_to(dst_) == out_)
+      << "the route from " << src_ << " to " << dst_
+      << " must be their direct link";
+  far_end_ = &network_.node(dst_);
   if (config_.burst_rate <= 0.0) return;  // silent source
   auto& sim = network_.simulator();
   // Start at a random point in the idle period so sources don't synchronise.
@@ -59,7 +72,10 @@ void CrossTrafficSource::emit_packet() {
   p.dst = dst_;
   p.proto = Protocol::kUdp;
   p.size_bytes = config_.packet_bytes;
-  network_.send(std::move(p));
+  // Decided per packet: a tap or sink may be installed after start().
+  p.far_end_discards =
+      !network_.has_delivery_tap() && !far_end_->has_local_sink();
+  network_.inject(*out_, std::move(p));
   ++packets_emitted_;
 
   // Next packet after the serialisation interval at burst_rate, jittered a

@@ -144,13 +144,16 @@ void LinkDirection::start_transmission(PooledPacket packet) {
   stats_.bytes_sent += static_cast<std::uint64_t>(packet->size_bytes);
   // Delivery happens tx + propagation later; the transmitter frees after tx.
   // The pool handle moves into the event's inline storage — no allocation,
-  // no packet copy.
+  // no packet copy. The jitter draw comes first either way, so skipping a
+  // delivery never shifts the hook's rng stream.
   const SimTime extra =
       jitter_ ? std::max<SimTime>(0, jitter_(sim_.now())) : 0;
-  sim_.schedule_in(tx + prop_delay_ + extra,
-                   [this, p = std::move(packet)]() mutable {
-                     if (deliver_) deliver_(std::move(p));
-                   });
+  if (!packet->far_end_discards) {
+    sim_.schedule_in(tx + prop_delay_ + extra,
+                     [this, p = std::move(packet)]() mutable {
+                       if (deliver_) deliver_(std::move(p));
+                     });
+  }
   sim_.schedule_in(tx, [this] { transmission_done(); });
 }
 

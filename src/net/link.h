@@ -27,6 +27,8 @@ struct LinkStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t packets_faulted = 0;  // dropped by an injected fault
   SimTime busy_time = 0;  // total serialisation time
+
+  friend bool operator==(const LinkStats&, const LinkStats&) = default;
 };
 
 // Decides whether an injected fault eats this packet *now* (link down,

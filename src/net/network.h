@@ -54,16 +54,26 @@ class Network {
   // packet moves into a recycled pool slot and travels the forwarding path
   // (queues, delivery events) without further copies.
   void send(Packet packet);
+  // Injects a packet straight into `out`, an outgoing direction of one of
+  // this network's links, skipping the source node and its route lookup.
+  // For sources that only ever send to an adjacent node (cross traffic).
+  void inject(LinkDirection& out, Packet packet) {
+    out.send(pool_.acquire(std::move(packet)));
+  }
 
   // Forwarding-path slot recycler; exposed for pool-behaviour tests.
   const PacketPool& packet_pool() const { return pool_; }
 
   // Observation tap (mmdump-style [MCCS00]): called for every packet as it
   // is delivered off a link, with the receiving node. Passive — the packet
-  // continues unmodified. One tap at a time; pass nullptr to clear.
+  // continues unmodified. One tap at a time; pass nullptr to clear. Cross
+  // traffic emitted while no tap is installed is discarded at its link
+  // without a delivery (see CrossTrafficSource), so install the tap before
+  // the run to see every packet.
   using DeliveryTap =
       std::function<void(const Packet& packet, NodeId at_node, SimTime when)>;
   void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
+  bool has_delivery_tap() const { return tap_ != nullptr; }
 
  private:
   sim::Simulator& sim_;

@@ -8,12 +8,12 @@ namespace rv::net {
 
 void Node::set_route(NodeId dst, LinkDirection* out) {
   RV_CHECK(out != nullptr);
+  if (dst >= routes_.size()) routes_.resize(dst + 1, nullptr);
   routes_[dst] = out;
 }
 
 LinkDirection* Node::route_to(NodeId dst) const {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : it->second;
+  return dst < routes_.size() ? routes_[dst] : nullptr;
 }
 
 void Node::handle(PooledPacket packet) {
@@ -23,7 +23,6 @@ void Node::handle(PooledPacket packet) {
       // pool when `packet` goes out of scope.
       local_sink_(std::move(*packet));
     } else {
-      // Cross-traffic sinks and closed ports land here by design.
       ++sink_drops_;
     }
     return;

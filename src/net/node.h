@@ -2,13 +2,15 @@
 //
 // A node forwards packets via its static routing table; packets addressed to
 // the node itself are handed to the registered local sink (the transport
-// mux). Packets with no route or no sink are dropped and counted.
+// mux). Packets with no route or no sink are dropped and counted. Cross
+// traffic bound for a sinkless node never reaches it: the source's link
+// discards those packets itself (see CrossTrafficSource).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/link.h"
 #include "net/packet.h"
@@ -31,6 +33,7 @@ class Node {
   void set_local_sink(std::function<void(Packet)> sink) {
     local_sink_ = std::move(sink);
   }
+  bool has_local_sink() const { return local_sink_ != nullptr; }
 
   // Entry point for packets arriving at (or originated by) this node. The
   // pool slot is forwarded onward, or released after the payload moves into
@@ -43,7 +46,9 @@ class Node {
  private:
   NodeId id_;
   std::string name_;
-  std::unordered_map<NodeId, LinkDirection*> routes_;
+  // Indexed by destination NodeId (Network assigns ids densely); nullptr
+  // means no route.
+  std::vector<LinkDirection*> routes_;
   std::function<void(Packet)> local_sink_;
   std::uint64_t no_route_drops_ = 0;
   std::uint64_t sink_drops_ = 0;

@@ -55,6 +55,11 @@ struct Packet {
   Port src_port = 0;
   Port dst_port = 0;
   Protocol proto = Protocol::kUdp;
+  // Set by a CrossTrafficSource when the node at the far end of its link
+  // would only discard the packet (no local sink, no delivery tap): the
+  // link then charges serialisation but schedules no delivery event. Sits
+  // in padding, so Packet does not grow.
+  bool far_end_discards = false;
   std::int32_t size_bytes = 0;  // total on-wire size, headers included
 
   TcpHeader tcp;  // valid when proto == kTcp

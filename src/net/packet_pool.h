@@ -4,11 +4,12 @@
 // delivery event, destination node); constructing a fresh Packet at each
 // injection and destroying it at delivery keeps the allocator on the hottest
 // path. The pool hands out stable Packet slots on a free list: Network::send
-// moves the caller's packet into a slot, the slot's handle then moves through
-// the forwarding pipeline (link queues, delivery closures), and delivery
-// moves the payload out and returns the slot. Steady-state forwarding
-// therefore allocates nothing — with SmallVec-inline header fields, a
-// recycled Packet touches no heap at all.
+// (or Network::inject) moves the caller's packet into a slot, the slot's
+// handle then moves through the forwarding pipeline (link queues, delivery
+// closures), and delivery moves the payload out and returns the slot (cross
+// traffic its link discards returns it at transmission start). Steady-state
+// forwarding therefore allocates nothing — with SmallVec-inline header
+// fields, a recycled Packet touches no heap at all.
 //
 // The slot store is a shared core kept alive by outstanding handles, so a
 // Network (and its pool) may be destroyed while undelivered packets still

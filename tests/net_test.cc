@@ -6,6 +6,7 @@
 #include "net/network.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace rv::net {
@@ -277,6 +278,131 @@ TEST(CrossTraffic, ParetoProducesLongerMaxBursts) {
   // covered by the mean-load test above).
   EXPECT_GT(longest_busy(1.2), 100u);
   EXPECT_GT(longest_busy(0.0), 100u);
+}
+
+TEST(CrossTraffic, RequiresAdjacentNodes) {
+  // The source injects straight into the src -> dst link, so it refuses
+  // endpoints two hops apart instead of silently loading the wrong link.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  const NodeId c = net.add_node("c");
+  net.add_link(a, b, mbps(10), msec(1));
+  net.add_link(b, c, mbps(10), msec(1));
+  net.compute_routes();
+  CrossTrafficConfig cfg;
+  cfg.burst_rate = mbps(1);
+  CrossTrafficSource src(net, a, c, cfg, util::Rng(1));
+  EXPECT_THROW(src.start(), util::CheckError);
+}
+
+// One run of the fast-path differential scenario: a foreground UDP flow
+// a -> r1 -> r2 -> b shares a jittered r1 -> r2 with a cross source bound
+// for r2, a router with no local sink.
+struct FastPathRun {
+  SimTime end = 0;
+  std::vector<SimTime> arrivals;  // foreground packets at b
+  std::vector<LinkStats> stats;   // per link, a->b direction then b->a
+  std::uint64_t events = 0;
+  std::uint64_t cross_sent = 0;  // cross packets r1 -> r2 transmitted
+  std::uint64_t tapped_cross = 0;
+  std::uint64_t r2_sink_drops = 0;
+};
+
+FastPathRun run_fast_path_scenario(QueuePolicy policy, bool tap) {
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_node("a");
+  const NodeId r1 = net.add_node("r1");
+  const NodeId r2 = net.add_node("r2");
+  const NodeId b = net.add_node("b");
+  net.add_link(a, r1, mbps(10), msec(1), 1 << 20);
+  QueueConfig q;
+  q.policy = policy;
+  q.capacity_bytes = 20'000;
+  Link& shared = net.add_link(r1, r2, kbps(800), msec(5), q);
+  net.add_link(r2, b, mbps(10), msec(1), 1 << 20);
+  net.compute_routes();
+  // Up to 2 ms of delay jitter: a skipped delivery must still take its draw,
+  // or every later foreground packet's delay would shift.
+  util::Rng jitter_rng(31);
+  shared.direction_from(r1).set_delay_jitter([&jitter_rng](SimTime) {
+    return static_cast<SimTime>(jitter_rng.uniform(0.0, 2000.0));
+  });
+
+  FastPathRun out;
+  net.node(b).set_local_sink(
+      [&](Packet) { out.arrivals.push_back(sim.now()); });
+  if (tap) {
+    net.set_delivery_tap([&](const Packet& p, NodeId at, SimTime) {
+      if (p.src == r1 && at == r2) ++out.tapped_cross;
+    });
+  }
+  CrossTrafficConfig ct;
+  ct.burst_rate = kbps(1200);  // 1.5x the link while ON
+  ct.mean_on = msec(300);
+  ct.mean_off = msec(700);
+  CrossTrafficSource cross(net, r1, r2, ct, util::Rng(2024));
+  cross.start();
+  // Foreground: 500 B every 10 ms (400 kbps) for the first 10 s.
+  for (int i = 0; i < 1000; ++i) {
+    sim.schedule_at(msec(10) * i, [&net, a, b] {
+      net.send(make_packet(a, b, 500));
+    });
+  }
+
+  // End in the first whole second after the flow in which the source
+  // emitted nothing: the 20 KB queue drains in 200 ms, so by then every
+  // cross packet the link transmitted has been delivered (tapped run) or
+  // discarded (plain run), and both runs stop at the same event.
+  SimTime t = sec(11);
+  sim.run_until(t);
+  for (std::uint64_t before = 0; before != cross.packets_emitted();) {
+    RV_CHECK_LT(t, sec(120)) << "no idle second found";
+    before = cross.packets_emitted();
+    t += sec(1);
+    sim.run_until(t);
+  }
+  out.end = t;
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    const Link& l = net.link(i);
+    out.stats.push_back(l.direction_from(l.a()).stats());
+    out.stats.push_back(l.direction_from(l.b()).stats());
+  }
+  out.events = sim.events_executed();
+  // Every foreground packet that crossed r1 -> r2 reached b (the last hop
+  // runs at 10 Mbps behind a 1 MiB queue and never drops), so the rest of
+  // that direction's packets are cross traffic.
+  out.cross_sent =
+      shared.direction_from(r1).stats().packets_sent - out.arrivals.size();
+  out.r2_sink_drops = net.node(r2).sink_drops();
+  return out;
+}
+
+TEST(CrossTraffic, FastPathMatchesDeliveredPathExactly) {
+  // A delivery tap turns the fast path's delivery skip off. Everything the
+  // simulation computes must be identical either way; only the skipped
+  // delivery events (one per transmitted cross packet) differ.
+  for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
+    SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
+    const FastPathRun plain = run_fast_path_scenario(policy, false);
+    const FastPathRun tapped = run_fast_path_scenario(policy, true);
+
+    EXPECT_EQ(plain.end, tapped.end);
+    EXPECT_EQ(plain.arrivals, tapped.arrivals);
+    EXPECT_EQ(plain.stats, tapped.stats);
+    EXPECT_EQ(plain.cross_sent, tapped.cross_sent);
+    // The scenario congests the shared link and drops foreground packets.
+    EXPECT_GT(plain.stats[2].packets_dropped, 0u);  // r1 -> r2
+    EXPECT_LT(plain.arrivals.size(), 1000u);
+    EXPECT_GT(plain.cross_sent, 100u);
+
+    EXPECT_EQ(tapped.events - plain.events, plain.cross_sent);
+    EXPECT_EQ(tapped.tapped_cross, plain.cross_sent);
+    EXPECT_EQ(tapped.r2_sink_drops, plain.cross_sent);
+    EXPECT_EQ(plain.r2_sink_drops, 0u);
+  }
 }
 
 TEST(PacketPool, SteadyStateForwardingRecyclesSlots) {
