@@ -73,8 +73,11 @@ Modes:
              records.spill are byte-identical to the single-process files.
              Also checks that a gap in the shard sequence is a hard merge
              error, that strict --plays-scale/--shard/--spill-dir/
-             --cache-dir parsing exits 2, and that --cache-dir actually
-             redirects the study cache. Needs realdata and rvmerge.
+             --cache-dir parsing exits 2, that `campaign` rejects the
+             in-memory-only flags (--trace, --trace-play, --series-csv,
+             --flight-dir, --profile, --cache-dir) with exit 2, and that
+             --cache-dir actually redirects the study cache. Needs realdata
+             and rvmerge.
   --status-smoke
              cheap CI gate for live observability: check strict
              --status-port/--status-hold-ms/--heartbeat-dir parsing exits 2
@@ -133,8 +136,7 @@ TRACKED = [
     "BM_SimulatorWheelCascade",
     "BM_PacketForwardingChain/2",
     "BM_PacketForwardingChain/8",
-    "BM_LinkBurstForward/0",
-    "BM_LinkBurstForward/1",
+    "BM_LinkBurstForward",
     "BM_TcpBulkTransfer",
     "BM_TcpChunkedSegments",
     "BM_FrameScheduleGenerate",
@@ -661,6 +663,14 @@ def main():
                     ["campaign", "--spill-dir"],   # needs a directory
                     ["campaign", "--chunk-users", "0"],
                     ["campaign", "--watch", "0"],
+                    # In-memory-only flags: a campaign has no study to
+                    # trace, export, profile or cache.
+                    ["campaign", "--trace", "t.json"],
+                    ["campaign", "--trace-play", "0,0"],
+                    ["campaign", "--series-csv", "s.csv"],
+                    ["campaign", "--flight-dir", "fd"],
+                    ["campaign", "--profile"],
+                    ["campaign", "--cache-dir", "cd"],
                     ["summary", "--cache-dir"]):   # needs a directory
             proc = subprocess.run(
                 [args.realdata_binary] + bad, stdout=subprocess.DEVNULL,

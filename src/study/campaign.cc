@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,7 +17,6 @@
 #include "study/spill.h"
 #include "util/check.h"
 #include "util/strings.h"
-#include "world/path_builder.h"
 #include "world/types.h"
 
 namespace rv::study {
@@ -559,6 +557,182 @@ std::uint64_t peak_rss_kb() {
   return 0;
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double wall_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+void scale_plays(world::UserProfile& u, double play_scale) {
+  if (play_scale < 1.0) {
+    u.clips_to_play = std::max(
+        1, static_cast<int>(std::lround(u.clips_to_play * play_scale)));
+    u.clips_to_rate = std::min(u.clips_to_rate, u.clips_to_play);
+  }
+}
+
+// Validates the knobs every play run shares and resolves the worker count
+// (0 = hardware concurrency).
+int play_threads(const StudyConfig& config) {
+  RV_CHECK(config.play_scale > 0.0 && config.play_scale <= 1.0)
+      << "play_scale must be in (0, 1], got " << config.play_scale;
+  RV_CHECK_GE(config.threads, 0)
+      << "threads must be >= 0 (0 = hardware concurrency)";
+  const int n = config.threads > 0
+                    ? config.threads
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(n, 1, 64);
+}
+
+// Receives each finished chunk: its users and their records in slot
+// (user-major, play-minor) order. It may move from either vector.
+using ChunkSink = std::function<void(std::vector<world::UserProfile>& users,
+                                     std::vector<tracer::TraceRecord>& records)>;
+
+// The one play driver behind run_study and run_campaign: runs users
+// [first, last) of the `replicas`-fold population `chunk_users` at a time
+// and hands each chunk to `sink`. Results depend only on the config and the
+// user range, never on the thread count or chunking. Returns the worker
+// profile (empty unless config.profile; when off, no clock is read).
+StudyProfile run_plays(const StudyConfig& config, std::uint64_t replicas,
+                       std::uint64_t first, std::uint64_t last,
+                       std::uint64_t chunk_users, const ChunkSink& sink) {
+  const int n_threads = play_threads(config);
+  const media::Catalog catalog = make_catalog(config);
+  const world::RegionGraph graph;
+  tracer::TracerConfig tracer_cfg = config.tracer;
+  // Tie the fault universe to the study seed unless pinned explicitly.
+  if (tracer_cfg.faults.seed == 0) tracer_cfg.faults.seed = config.seed;
+  tracer::RealTracer tracer(catalog, graph, tracer_cfg);
+
+  const bool profiling = config.profile;
+  StudyProfile profile;
+  profile.enabled = profiling;
+  if (profiling) profile.workers.resize(static_cast<std::size_t>(n_threads));
+  Clock::time_point phase{};
+  if (profiling) phase = Clock::now();
+
+  if (tracer_cfg.faults.enabled &&
+      tracer_cfg.faults.mechanistic_unavailability) {
+    // Mechanistic unavailability grids each site's accesses over the whole
+    // population, so the range needs every user's per-site totals and its
+    // own users' starting ranks. Profile generation is ~1000x cheaper than
+    // play execution, so one streaming pass is affordable; only users in
+    // range keep a per-user base, bounding memory.
+    tracer.access_plan_begin();
+    world::PopulationStream all(config.population, replicas);
+    for (std::uint64_t id = 0; id < all.size(); ++id) {
+      world::UserProfile u = all.next();
+      scale_plays(u, config.play_scale);
+      tracer.access_plan_add(u, /*keep_base=*/id >= first && id < last);
+    }
+  }
+  if (profiling) profile.plan_seconds += wall_since(phase);
+
+  // Contexts persist across chunks, so steady-state chunks allocate
+  // ~nothing. Each is created by the worker that uses it: it lands in that
+  // thread's malloc arena, apart from the other workers' and the caller's.
+  std::vector<std::unique_ptr<tracer::PlayContext>> contexts(
+      static_cast<std::size_t>(n_threads));
+  world::PopulationStream stream(config.population, replicas);
+  stream.skip(first);
+  std::vector<world::UserProfile> users;
+  std::vector<tracer::TraceRecord> records;
+  // Each slot is written by exactly one worker; a TraceRecord spans several
+  // cache lines, so neighbouring writers cannot ping-pong a line.
+  static_assert(sizeof(tracer::TraceRecord) >= 64,
+                "result slots narrower than a cache line: give the executor "
+                "per-worker spans or align the slots");
+
+  for (std::uint64_t pos = first; pos < last;) {
+    const std::uint64_t count = std::min(chunk_users, last - pos);
+    users.clear();
+    users.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      users.push_back(stream.next());
+      scale_plays(users.back(), config.play_scale);
+    }
+    pos += count;
+
+    // Plan, then execute: the serial plan fixes every input a play consumes
+    // and a preassigned record slot, so workers may drain the tasks
+    // cost-descending in any interleaving and the output stays
+    // byte-identical for any thread count.
+    if (profiling) phase = Clock::now();
+    const tracer::StudyPlan plan = tracer.build_plan(users, config.seed);
+    if (profiling) profile.plan_seconds += wall_since(phase);
+    records.resize(plan.tasks.size());
+
+    // Claims need no ordering: workers only read state published before
+    // the threads started and publish records via join; fetch_add is still
+    // a total order on the counter, so each task is claimed exactly once.
+    // Line-aligned so no neighbouring stack slot shares its cache line.
+    alignas(64) std::atomic<std::size_t> next{0};
+    const auto worker = [&](int worker_index) {
+      const auto w = static_cast<std::size_t>(worker_index);
+      if (contexts[w] == nullptr) {
+        contexts[w] = std::make_unique<tracer::PlayContext>();
+      }
+      tracer::PlayContext& ctx = *contexts[w];
+      WorkerProfile* wp = profiling ? &profile.workers[w] : nullptr;
+      while (true) {
+        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= plan.order.size()) return;
+        const tracer::PlayTask& task = plan.tasks[plan.order[k]];
+        if (wp == nullptr) {
+          records[task.record_slot] =
+              tracer.run_play(task, users[task.user_index], ctx);
+          continue;
+        }
+        const auto play_start = Clock::now();
+        records[task.record_slot] =
+            tracer.run_play(task, users[task.user_index], ctx);
+        const double dt = wall_since(play_start);
+        ++wp->plays;
+        wp->busy_seconds += dt;
+        wp->max_play_seconds = std::max(wp->max_play_seconds, dt);
+      }
+    };
+    if (profiling) phase = Clock::now();
+    if (n_threads == 1 || plan.tasks.size() < 2) {
+      worker(0);
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(n_threads));
+      for (int i = 0; i < n_threads; ++i) pool.emplace_back(worker, i);
+      for (auto& t : pool) t.join();
+    }
+    if (profiling) profile.execute_seconds += wall_since(phase);
+    sink(users, records);
+  }
+
+  // Idle = starvation: execute wall a worker spent off-task (queue drained,
+  // or waiting on the last straggler play).
+  for (auto& wp : profile.workers) {
+    wp.idle_seconds = std::max(0.0, profile.execute_seconds - wp.busy_seconds);
+  }
+  return profile;
+}
+
+}  // namespace
+
+StudyResult run_study(const StudyConfig& config) {
+  // One chunk, so the cost-descending execution order spans every play.
+  const std::uint64_t n_users =
+      world::PopulationStream(config.population, 1).size();
+  StudyResult result;
+  result.profile = run_plays(
+      config, 1, 0, n_users, n_users,
+      [&result](std::vector<world::UserProfile>& users,
+                std::vector<tracer::TraceRecord>& records) {
+        result.users = std::move(users);
+        result.records = std::move(records);
+      });
+  return result;
+}
+
 CampaignResult run_campaign(const CampaignConfig& config) {
   RV_CHECK_GE(config.plays_scale, 1u) << "plays_scale must be >= 1";
   RV_CHECK_GE(config.shard_count, 1u) << "shard_count must be >= 1";
@@ -566,48 +740,15 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       << "shard_index must be < shard_count";
   RV_CHECK_GE(config.chunk_users, 1u) << "chunk_users must be >= 1";
   const StudyConfig& study = config.study;
-  RV_CHECK(study.play_scale > 0.0 && study.play_scale <= 1.0)
-      << "play_scale must be in (0, 1], got " << study.play_scale;
+  CampaignResult res;
+  res.threads = play_threads(study);
 
-  const auto scale_plays = [&study](world::UserProfile& u) {
-    if (study.play_scale < 1.0) {
-      u.clips_to_play = std::max(
-          1,
-          static_cast<int>(std::lround(u.clips_to_play * study.play_scale)));
-      u.clips_to_rate = std::min(u.clips_to_rate, u.clips_to_play);
-    }
-  };
-
-  world::PopulationStream sizing(study.population, config.plays_scale);
-  const std::uint64_t total_users = sizing.size();
+  const std::uint64_t total_users =
+      world::PopulationStream(study.population, config.plays_scale).size();
   const std::uint64_t first =
       total_users * config.shard_index / config.shard_count;
   const std::uint64_t last =
       total_users * (config.shard_index + 1) / config.shard_count;
-
-  const media::Catalog catalog = make_catalog(study);
-  const world::RegionGraph graph;
-  tracer::TracerConfig tracer_cfg = study.tracer;
-  if (tracer_cfg.faults.seed == 0) tracer_cfg.faults.seed = study.seed;
-  tracer::RealTracer tracer(catalog, graph, tracer_cfg);
-
-  if (tracer_cfg.faults.enabled &&
-      tracer_cfg.faults.mechanistic_unavailability) {
-    // Mechanistic unavailability grids each site's accesses over the whole
-    // campaign, so a shard needs the full population's per-site totals and
-    // its own users' starting ranks. Profile generation is ~1000× cheaper
-    // than play execution, so one streaming prefix pass is affordable; only
-    // this shard's users keep a per-user base, bounding memory.
-    tracer.access_plan_begin();
-    world::PopulationStream all(study.population, config.plays_scale);
-    for (std::uint64_t id = 0; id < total_users; ++id) {
-      world::UserProfile u = all.next();
-      scale_plays(u);
-      tracer.access_plan_add(u, /*keep_base=*/id >= first && id < last);
-    }
-  }
-
-  CampaignResult res;
   res.rollup.user_first = first;
   res.rollup.user_count = last - first;
   res.users = last - first;
@@ -620,6 +761,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   obs::metrics_gauge_set(obs::MetricGauge::kShardCount, config.shard_count);
   obs::metrics_gauge_set(obs::MetricGauge::kLastFoldUser,
                          static_cast<std::int64_t>(first));
+  obs::metrics_gauge_set(obs::MetricGauge::kWorkers, res.threads);
 
   std::unique_ptr<SpillWriter> writer;
   if (!config.spill_dir.empty()) {
@@ -636,58 +778,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
   }
 
-  int n_threads = study.threads > 0
-                      ? study.threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-  n_threads = std::clamp(n_threads, 1, 64);
-  res.threads = n_threads;
-  obs::metrics_gauge_set(obs::MetricGauge::kWorkers, n_threads);
-  // Contexts persist across chunks (deque: PlayContext is pinned, not
-  // movable), so steady-state chunks allocate ~nothing.
-  std::deque<tracer::PlayContext> contexts;
-  for (int i = 0; i < n_threads; ++i) contexts.emplace_back();
-
-  world::PopulationStream stream(study.population, config.plays_scale);
-  stream.skip(first);
-  std::vector<world::UserProfile> users;
-  std::vector<tracer::TraceRecord> records;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t pos = first;
+  std::uint64_t users_done = 0;
   std::uint64_t spill_bytes_fed = 0, spill_frames_fed = 0;
-  while (pos < last) {
-    const std::uint64_t count = std::min(config.chunk_users, last - pos);
-    users.clear();
-    users.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      users.push_back(stream.next());
-      scale_plays(users.back());
-    }
-    const tracer::StudyPlan plan = tracer.build_plan(users, study.seed);
-    records.resize(plan.tasks.size());
-    alignas(64) std::atomic<std::size_t> next{0};
-    auto worker = [&](int worker_index) {
-      tracer::PlayContext& ctx =
-          contexts[static_cast<std::size_t>(worker_index)];
-      while (true) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= plan.order.size()) return;
-        const tracer::PlayTask& task = plan.tasks[plan.order[k]];
-        records[task.record_slot] =
-            tracer.run_play(task, users[task.user_index], ctx);
-      }
-    };
-    if (n_threads == 1 || plan.tasks.size() < 2) {
-      worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(n_threads));
-      for (int i = 0; i < n_threads; ++i) pool.emplace_back(worker, i);
-      for (auto& t : pool) t.join();
-    }
-    // Fold + spill in slot (user-major, play-minor) order: the global record
-    // sequence across chunks and shards is the user-id order, which is what
-    // makes the merged spill byte-identical to a single-process run.
+  // Fold + spill in slot (user-major, play-minor) order: the global record
+  // sequence across chunks and shards is the user-id order, which is what
+  // makes the merged spill byte-identical to a single-process run.
+  const auto fold_chunk = [&](std::vector<world::UserProfile>& users,
+                              std::vector<tracer::TraceRecord>& records) {
     for (const auto& rec : records) {
       res.rollup.fold(rec);
       if (writer != nullptr) writer->append(rec);
@@ -699,12 +796,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       }
     }
     res.plays += records.size();
-    pos += count;
+    users_done += users.size();
     obs::metrics_add(obs::Metric::kPlaysCompleted, records.size());
-    obs::metrics_add(obs::Metric::kUsersCompleted, count);
+    obs::metrics_add(obs::Metric::kUsersCompleted, users.size());
     obs::metrics_add(obs::Metric::kChunksCompleted);
     obs::metrics_gauge_set(obs::MetricGauge::kLastFoldUser,
-                           static_cast<std::int64_t>(pos));
+                           static_cast<std::int64_t>(first + users_done));
     if (writer != nullptr) {
       obs::metrics_add(obs::Metric::kSpillBytesWritten,
                        writer->bytes_written() - spill_bytes_fed);
@@ -714,8 +811,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       spill_frames_fed = writer->frames_written();
     }
     obs::metrics_gauge_set(obs::MetricGauge::kRssKb, obs::current_rss_kb());
-    if (config.progress) config.progress(res.plays, pos - first, last - first);
-  }
+    if (config.progress) config.progress(res.plays, users_done, res.users);
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  run_plays(study, config.plays_scale, first, last, config.chunk_users,
+            fold_chunk);
   res.execute_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

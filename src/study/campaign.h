@@ -7,10 +7,11 @@
 //     paper's fitted distributions; a shard is a contiguous user-id range,
 //     generable independently yet byte-reproducible.
 //   - run_campaign materializes only `chunk_users` profiles at a time,
-//     plans/executes each chunk with the existing plan/execute split, folds
-//     every finished record into a CampaignRollup, optionally appends it to
-//     a columnar spill (study/spill.h), and discards it. Peak RSS is set by
-//     the chunk working set, not the play count.
+//     plans/executes each chunk through the play driver it shares with
+//     run_study (campaign.cc), folds every finished record into a
+//     CampaignRollup, optionally appends it to a columnar spill
+//     (study/spill.h), and discards it. Peak RSS is set by the chunk
+//     working set, not the play count.
 //   - CampaignRollup is pure mergeable state: u64/i64 counters, fixed-point
 //     (micro-unit) sums, bin-exact stats::MergeableHistograms and ordered
 //     group tables. merge() of N contiguous shard rollups reproduces the
@@ -152,7 +153,7 @@ struct CampaignResult {
   std::uint64_t users = 0;         // users this shard ran
   std::uint64_t plays = 0;         // records folded (== rollup.records)
   int threads = 1;                 // resolved worker count
-  double execute_seconds = 0.0;    // wall time of the chunk loop
+  double execute_seconds = 0.0;    // wall time of the play pipeline
   std::uint64_t peak_rss_kb = 0;   // VmHWM at completion (0 if unreadable)
   std::string spill_path;          // set when spill_dir was given
   std::string rollup_path;

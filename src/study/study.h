@@ -65,8 +65,10 @@ struct StudyResult {
   std::vector<const tracer::TraceRecord*> rated() const;
 };
 
-// Runs the full study. Deterministic in config.seed (thread count does not
-// affect results).
+// Runs the full study: population replica 0 as one chunk of the play driver
+// run_campaign also uses (both live in campaign.cc). Deterministic in
+// config.seed (thread count does not affect results). Throws
+// util::CheckError on invalid config.
 StudyResult run_study(const StudyConfig& config);
 
 // The catalog a study config implies (shared by benches needing clip info).

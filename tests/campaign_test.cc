@@ -76,6 +76,26 @@ TEST(Campaign, ScaleOneRollupMatchesFoldingRunStudy) {
   EXPECT_EQ(result.rollup.render(), manual.render());
 }
 
+TEST(Campaign, ScaleOneSpillMatchesRunStudyRecordForRecord) {
+  // Pins the record order through the shared play driver: the campaign's
+  // spill of one replica must be the study's records, byte for byte.
+  const StudyConfig study_cfg = quick_config();
+  const StudyResult baseline = run_study(study_cfg);
+  const std::string study_spill = temp_path("study_records.spill");
+  SpillWriter writer(study_spill);
+  for (const auto& rec : baseline.records) writer.append(rec);
+  ASSERT_TRUE(writer.finish());
+
+  CampaignConfig campaign_cfg;
+  campaign_cfg.study = study_cfg;
+  campaign_cfg.spill_dir = temp_path("campaign_scale_one");
+  const CampaignResult result = run_campaign(campaign_cfg);
+  ASSERT_FALSE(result.spill_path.empty());
+  const std::string bytes = read_file(result.spill_path);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, read_file(study_spill));
+}
+
 TEST(Campaign, ChunkSizeAndThreadsDoNotChangeTheRollup) {
   CampaignConfig a;
   a.study = quick_config();
@@ -214,6 +234,10 @@ TEST(Campaign, RunCampaignValidatesConfig) {
 
   config.shard_index = 0;
   config.chunk_users = 0;
+  EXPECT_THROW(run_campaign(config), util::CheckError);
+
+  config.chunk_users = 63;
+  config.study.threads = -1;  // 0 means every core; negatives are errors
   EXPECT_THROW(run_campaign(config), util::CheckError);
 }
 

@@ -1,0 +1,104 @@
+#include "cli_options.h"
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "transport/congestion_control.h"
+
+namespace rv::tools {
+namespace {
+
+struct Parsed {
+  bool ok = false;
+  std::string err;
+  tracer::TracerConfig tracer;
+  SharedFlags flags;
+};
+
+Parsed parse(std::vector<std::string> argv, bool with_watch = true) {
+  argv.insert(argv.begin(), "tool");
+  std::vector<const char*> raw;
+  for (const auto& a : argv) raw.push_back(a.c_str());
+  const util::Args args(static_cast<int>(raw.size()), raw.data());
+  Parsed p;
+  std::ostringstream err;
+  p.ok = parse_shared_flags(args, with_watch, &p.tracer, &p.flags, err);
+  p.err = err.str();
+  return p;
+}
+
+// Every malformed shared flag is refused (the tools exit 2) with a message
+// naming the flag.
+TEST(CliOptions, MalformedFlagsAreRejectedWithTheirName) {
+  const struct {
+    std::vector<std::string> argv;
+    std::string flag;
+  } cases[] = {
+      {{"--cc", "vegas"}, "--cc"},
+      {{"--cc"}, "--cc"},
+      {{"--trace"}, "--trace"},
+      {{"--series-csv"}, "--series-csv"},
+      {{"--telemetry-interval-ms", "0"}, "--telemetry-interval-ms"},
+      {{"--telemetry-interval-ms", "-3"}, "--telemetry-interval-ms"},
+      {{"--telemetry-interval-ms", "5ms"}, "--telemetry-interval-ms"},
+      {{"--watch", "0"}, "--watch"},
+      {{"--watch", "-5"}, "--watch"},
+      {{"--watch", "abc"}, "--watch"},
+      {{"--status-port", "70000"}, "--status-port"},
+      {{"--status-port", "abc"}, "--status-port"},
+      {{"--status-port"}, "--status-port"},
+      {{"--status-hold-ms=-5"}, "--status-hold-ms"},
+      {{"--status-hold-ms", "x"}, "--status-hold-ms"},
+  };
+  for (const auto& c : cases) {
+    const Parsed p = parse(c.argv);
+    EXPECT_FALSE(p.ok) << c.argv[0];
+    EXPECT_NE(p.err.find(c.flag), std::string::npos)
+        << c.argv[0] << ": " << p.err;
+  }
+}
+
+// Each well-formed flag lands in its config field; absent flags keep the
+// defaults.
+TEST(CliOptions, GoodFlagsSetTheExpectedConfig) {
+  const tracer::TracerConfig defaults;
+  const Parsed none = parse({});
+  ASSERT_TRUE(none.ok) << none.err;
+  EXPECT_EQ(none.tracer.tcp_cc, defaults.tcp_cc);
+  EXPECT_FALSE(none.tracer.obs.enabled);
+  EXPECT_FALSE(none.tracer.telemetry.enabled);
+  EXPECT_EQ(none.tracer.telemetry.interval, msec(500));
+  EXPECT_EQ(none.tracer.watch_duration, defaults.watch_duration);
+  EXPECT_TRUE(none.flags.trace_path.empty());
+  EXPECT_TRUE(none.flags.series_csv.empty());
+  EXPECT_EQ(none.flags.status_port, -1);
+  EXPECT_EQ(none.flags.status_hold_ms, 0);
+
+  const Parsed all = parse({"--cc", "bbr", "--trace", "t.json", "--series-csv",
+                            "s.csv", "--telemetry-interval-ms", "250",
+                            "--watch", "2.5", "--status-port=0",
+                            "--status-hold-ms", "150"});
+  ASSERT_TRUE(all.ok) << all.err;
+  EXPECT_TRUE(all.err.empty()) << all.err;
+  EXPECT_EQ(all.tracer.tcp_cc, transport::CcAlgorithm::kBbr);
+  EXPECT_EQ(all.flags.trace_path, "t.json");
+  EXPECT_TRUE(all.tracer.obs.enabled);
+  EXPECT_EQ(all.flags.series_csv, "s.csv");
+  EXPECT_TRUE(all.tracer.telemetry.enabled);  // series need sampling
+  EXPECT_EQ(all.tracer.telemetry.interval, msec(250));
+  EXPECT_EQ(all.tracer.watch_duration, msec(2500));
+  EXPECT_EQ(all.flags.status_port, 0);
+  EXPECT_EQ(all.flags.status_hold_ms, 150);
+
+  EXPECT_TRUE(parse({"--telemetry"}).tracer.telemetry.enabled);
+  // A command that does not take --watch never reads it, malformed or not.
+  const Parsed no_watch = parse({"--watch", "0"}, /*with_watch=*/false);
+  ASSERT_TRUE(no_watch.ok) << no_watch.err;
+  EXPECT_EQ(no_watch.tracer.watch_duration, defaults.watch_duration);
+}
+
+}  // namespace
+}  // namespace rv::tools

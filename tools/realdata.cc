@@ -24,7 +24,9 @@
 //        --telemetry and event tracing), --profile (worker self-profile).
 //        Like --trace, these force a fresh run: series live only in memory.
 //        Malformed numeric flag values are an error (exit 2), not a
-//        silent fallback to the default.
+//        silent fallback to the default. `campaign` never holds the
+//        in-memory study, so it rejects --trace, --trace-play,
+//        --series-csv, --flight-dir, --profile and --cache-dir (exit 2).
 //        --status-port <0..65535> (embedded HTTP status exporter on
 //        127.0.0.1: GET /metrics Prometheus text, /progress JSON, /healthz;
 //        0 picks an ephemeral port, announced on stderr),
@@ -35,18 +37,15 @@
 //        are identical with the exporter on or off.
 #include <unistd.h>
 
-#include <chrono>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <thread>
 
+#include "cli_options.h"
 #include "obs/chrome_trace.h"
 #include "obs/heartbeat.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "stats/csv.h"
 #include "stats/summary.h"
@@ -55,7 +54,6 @@
 #include "study/campaign.h"
 #include "study/figures.h"
 #include "study/telemetry_report.h"
-#include "transport/congestion_control.h"
 #include "util/args.h"
 #include "util/strings.h"
 
@@ -340,12 +338,6 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
     return 2;
   }
   cc.chunk_users = static_cast<std::uint64_t>(chunk_users);
-  const double watch = args.get_double("watch", 60.0);
-  if (args.has("watch") && !(watch > 0.0)) {
-    std::cerr << "--watch must be a positive number of seconds\n";
-    return 2;
-  }
-  cc.study.tracer.watch_duration = seconds_to_sim(watch);
   const std::string rollup_out = args.get_or("rollup-out", "");
   if (args.has("rollup-out") && rollup_out.empty()) {
     std::cerr << "--rollup-out requires a file path\n";
@@ -449,16 +441,6 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
   return 0;
 }
 
-// Keeps the status exporter serving a little longer after the command
-// finishes (so a scraper polling /progress can observe the final state),
-// simply by delaying the StatusServer destructor.
-struct StatusHold {
-  std::int64_t ms = 0;
-  ~StatusHold() {
-    if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -478,18 +460,30 @@ int main(int argc, char** argv) {
     return args.has("help") ? 0 : 1;
   }
 
+  // A campaign folds records into a rollup and never holds an in-memory
+  // StudyResult, so the flags that export, profile or cache one have
+  // nothing to act on there.
+  const bool campaign = args.positional()[0] == "campaign";
+  if (campaign) {
+    for (const char* flag : {"trace", "trace-play", "series-csv",
+                             "flight-dir", "profile", "cache-dir"}) {
+      if (args.has(flag)) {
+        std::cerr << "--" << flag
+                  << " needs the in-memory study; campaign does not take "
+                     "it\n";
+        return 2;
+      }
+    }
+  }
+
   study::StudyConfig config;
   config.play_scale = args.get_double("scale", 1.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
   config.threads = static_cast<int>(args.get_int("threads", 0));
-  if (const auto cc = args.get("cc")) {
-    const auto parsed = transport::parse_cc_algorithm(*cc);
-    if (!parsed) {
-      std::cerr << "--cc expects one of reno|cubic|bbr (got '" << *cc
-                << "')\n";
-      return 2;
-    }
-    config.tracer.tcp_cc = *parsed;
+  tools::SharedFlags flags;
+  if (!tools::parse_shared_flags(args, /*with_watch=*/campaign,
+                                 &config.tracer, &flags, std::cerr)) {
+    return 2;
   }
   if (args.has("faults")) {
     // Mechanistic fault injection: per-site outage schedules instead of the
@@ -498,56 +492,28 @@ int main(int argc, char** argv) {
     config.tracer.faults.outage_scale =
         args.get_double("outage-scale", 1.0);
   }
-  const bool want_trace = args.has("trace");
-  const std::string trace_path = args.get_or("trace", "");
-  if (want_trace) {
-    if (trace_path.empty()) {
-      std::cerr << "--trace requires a file path\n";
+  const auto trace_play = args.get("trace-play");
+  if (trace_play && !flags.trace_path.empty()) {
+    const auto parsed = obs::parse_trace_play(*trace_play);
+    if (!parsed) {
+      std::cerr << "--trace-play expects exactly <user,play> with "
+                   "non-negative integers (got '" << *trace_play << "')\n";
       return 2;
     }
-    config.tracer.obs.enabled = true;
-    if (const auto tp = args.get("trace-play")) {
-      const auto parsed = obs::parse_trace_play(*tp);
-      if (!parsed) {
-        std::cerr << "--trace-play expects exactly <user,play> with "
-                     "non-negative integers (got '" << *tp << "')\n";
-        return 2;
-      }
-      config.tracer.obs.filter_user = parsed->first;
-      config.tracer.obs.filter_play = parsed->second;
-    }
+    config.tracer.obs.filter_user = parsed->first;
+    config.tracer.obs.filter_play = parsed->second;
   }
-
-  // Telemetry / flight-recorder / profiling flags, validated strictly.
-  const bool want_series_csv = args.has("series-csv");
-  const std::string series_csv = args.get_or("series-csv", "");
-  if (want_series_csv && series_csv.empty()) {
-    std::cerr << "--series-csv requires a file path\n";
-    return 2;
-  }
-  const bool want_flight = args.has("flight-dir");
   const std::string flight_dir = args.get_or("flight-dir", "");
-  if (want_flight && flight_dir.empty()) {
-    std::cerr << "--flight-dir requires a directory\n";
-    return 2;
-  }
-  const bool want_telemetry =
-      args.has("telemetry") || want_series_csv || want_flight;
-  const auto interval_ms = args.get_int("telemetry-interval-ms", 500);
-  if (args.has("telemetry-interval-ms") && interval_ms <= 0) {
-    std::cerr << "--telemetry-interval-ms must be a positive integer (got "
-              << interval_ms << ")\n";
-    return 2;
-  }
-  if (want_telemetry) {
+  if (args.has("flight-dir")) {
+    if (flight_dir.empty()) {
+      std::cerr << "--flight-dir requires a directory\n";
+      return 2;
+    }
+    // Flight dumps carry sampled series and the full event ring.
     config.tracer.telemetry.enabled = true;
-    config.tracer.telemetry.interval = msec(interval_ms);
+    config.tracer.obs.enabled = true;
   }
-  // Flight dumps carry the full event ring, so anomaly capture turns the
-  // obs layer on too.
-  if (want_flight) config.tracer.obs.enabled = true;
-  const bool want_profile = args.has("profile");
-  config.profile = want_profile;
+  config.profile = args.has("profile");
 
   const std::string cache_dir = args.get_or("cache-dir", "");
   if (args.has("cache-dir") && cache_dir.empty()) {
@@ -555,26 +521,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Live observability flags (strict: anything malformed is exit 2). All
-  // wall-clock-side — none of these feed the sim or the cache fingerprint,
-  // so the study cache bytes are identical with them on or off.
-  int status_port = -1;
-  if (args.has("status-port")) {
-    const std::string raw = args.get_or("status-port", "");
-    const auto parsed = obs::parse_status_port(raw);
-    if (!parsed) {
-      std::cerr << "--status-port expects an integer in [0, 65535] (got '"
-                << raw << "')\n";
-      return 2;
-    }
-    status_port = *parsed;
-  }
-  const auto status_hold_ms = args.get_int("status-hold-ms", 0);
-  if (args.has("status-hold-ms") && status_hold_ms < 0) {
-    std::cerr << "--status-hold-ms must be a non-negative integer (got "
-              << status_hold_ms << ")\n";
-    return 2;
-  }
   std::string heartbeat_dir;
   if (args.has("heartbeat-dir")) {
     heartbeat_dir = args.get_or("heartbeat-dir", "");
@@ -597,25 +543,12 @@ int main(int argc, char** argv) {
 
   // The registry is always installed (the hooks are near-free and the
   // stderr progress line reads it); the HTTP exporter only with
-  // --status-port. Declaration order matters: the hold sleeps first, then
-  // the server stops, then the registry dies.
-  obs::MetricsRegistry metrics;
-  obs::install_metrics(&metrics);
-  std::unique_ptr<obs::StatusServer> status_server;
-  StatusHold status_hold;
-  if (status_port >= 0) {
-    status_server = std::make_unique<obs::StatusServer>(&metrics);
-    std::string err;
-    if (!status_server->start(status_port, &err)) {
-      std::cerr << "--status-port: " << err << "\n";
-      return 2;
-    }
-    status_hold.ms = status_hold_ms;
-    std::cerr << "status: serving http://127.0.0.1:" << status_server->port()
-              << "/{metrics,progress,healthz}\n";
-  }
+  // --status-port. All wall-clock-side: the study cache bytes are
+  // identical with the exporter on or off.
+  tools::StatusExporter status;
+  if (!status.start(flags, std::cerr)) return 2;
 
-  if (args.positional()[0] == "campaign") {
+  if (campaign) {
     try {
       return cmd_campaign(config, args, heartbeat_dir);
     } catch (const std::exception& e) {
@@ -631,8 +564,8 @@ int main(int argc, char** argv) {
   // Traces, series and profiles live only in memory, so such a run cannot be
   // satisfied from the cache; it re-runs and re-saves byte-identical cache
   // contents.
-  const bool force_run = want_trace || want_telemetry || want_profile ||
-                         config.tracer.obs.enabled;
+  const bool force_run = config.tracer.obs.enabled ||
+                         config.tracer.telemetry.enabled || config.profile;
   const study::StudyResult result =
       study::run_study_cached(config, force_run, cache_dir);
   // Feed the registry for the study path too (run_campaign feeds itself):
@@ -649,20 +582,20 @@ int main(int argc, char** argv) {
                          to_kbps(r.stats.measured_bandwidth));
   }
   obs::metrics_gauge_set(obs::MetricGauge::kRssKb, obs::current_rss_kb());
-  if (want_trace) {
-    const int rc = cmd_write_trace(result, trace_path);
+  if (!flags.trace_path.empty()) {
+    const int rc = cmd_write_trace(result, flags.trace_path);
     if (rc != 0) return rc;
   }
-  if (want_series_csv) {
+  if (!flags.series_csv.empty()) {
     try {
-      study::write_series_csv(series_csv, result.records);
+      study::write_series_csv(flags.series_csv, result.records);
     } catch (const std::exception& e) {
       std::cerr << "cannot write series CSV: " << e.what() << "\n";
       return 1;
     }
-    std::cout << "wrote " << series_csv << "\n";
+    std::cout << "wrote " << flags.series_csv << "\n";
   }
-  if (want_flight) {
+  if (!flight_dir.empty()) {
     const int n = study::write_flight_records(flight_dir, result);
     if (n < 0) {
       std::cerr << "cannot write flight records under " << flight_dir << "\n";
@@ -704,10 +637,12 @@ int main(int argc, char** argv) {
   }
   // The bottleneck/rollup table and the worker profile ride along after
   // whichever command ran.
-  if (want_telemetry) {
+  if (config.tracer.telemetry.enabled) {
     const std::string report = study::telemetry_report(result);
     if (!report.empty()) std::cout << "\n" << report;
   }
-  if (want_profile) std::cout << "\n" << study::profile_report(result.profile);
+  if (config.profile) {
+    std::cout << "\n" << study::profile_report(result.profile);
+  }
   return rc;
 }
