@@ -15,24 +15,7 @@ void print_everything(const rv::study::StudyResult& result,
   using namespace rv::study;
   std::cout << study_summary(result) << "\n";
   std::cout << fig01_buffering(config) << "\n";
-  for (const auto& text :
-       {fig05_clips_per_user(result),  fig06_rated_per_user(result),
-        fig07_user_countries(result),  fig08_server_countries(result),
-        fig09_us_states(result),       fig10_availability(result),
-        fig11_framerate_all(result),   fig12_framerate_by_net(result),
-        fig13_bandwidth_by_net(result),
-        fig14_framerate_by_server_region(result),
-        fig15_framerate_by_user_region(result),
-        fig16_protocol_mix(result),    fig17_framerate_by_protocol(result),
-        fig18_bandwidth_by_protocol(result),
-        fig19_framerate_by_pc(result), fig20_jitter_all(result),
-        fig21_jitter_by_net(result),   fig22_jitter_by_server_region(result),
-        fig23_jitter_by_user_region(result),
-        fig24_jitter_by_protocol(result),
-        fig25_jitter_by_bandwidth(result), fig26_quality_all(result),
-        fig27_quality_by_net(result),  fig28_quality_vs_bandwidth(result)}) {
-    std::cout << text << "\n";
-  }
+  for (const Figure& fig : kFigures) std::cout << fig.render(result) << "\n";
 }
 
 }  // namespace

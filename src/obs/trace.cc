@@ -7,10 +7,6 @@
 
 namespace rv::obs {
 
-namespace detail {
-thread_local PlaySink* tl_sink = nullptr;
-}  // namespace detail
-
 namespace {
 
 // One name per enum value, in declaration order. The static_asserts turn

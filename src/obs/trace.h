@@ -161,7 +161,11 @@ struct PlaySink {
 };
 
 namespace detail {
-extern thread_local PlaySink* tl_sink;
+// Defined inline, like util::ArenaScope's: an extern thread_local is read
+// through a TLS wrapper, and with GCC 12 the UBSan null check on the
+// wrapper's result survives ld's TLS relaxation as a branch on stale flags,
+// a false "load of null pointer" report in SANITIZE=address builds.
+inline thread_local PlaySink* tl_sink = nullptr;
 }  // namespace detail
 
 inline PlaySink* current_sink() { return detail::tl_sink; }

@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/strings.h"
@@ -70,6 +71,14 @@ std::int64_t Args::get_int(const std::string& key,
 
 bool Args::has(const std::string& key) const {
   return values_.count(key) > 0;
+}
+
+void Args::reject_unknown(const std::vector<std::string_view>& allowed) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      errors_.push_back("--" + key + ": unknown flag");
+    }
+  }
 }
 
 std::optional<std::int64_t> parse_int(std::string_view text) {

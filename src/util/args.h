@@ -2,7 +2,8 @@
 //
 // Supports --flag, --key value and --key=value forms plus positional
 // arguments. A bare "--" ends flag parsing; everything after it is
-// positional. Unknown flags are collected so tools can report them.
+// positional. A tool that calls reject_unknown() with the flags it takes
+// gets every other flag reported through errors().
 //
 // Numeric accessors parse strictly (std::from_chars, full-token match).
 // A malformed value returns the fallback and records a diagnostic
@@ -40,6 +41,11 @@ class Args {
   // Diagnostics accumulated by the numeric accessors (one human-readable
   // line per malformed value). Empty when every queried flag parsed.
   const std::vector<std::string>& errors() const { return errors_; }
+
+  // Appends one "--key: unknown flag" line to errors() for every flag that
+  // is not in `allowed` (names without the leading "--"). Positional
+  // arguments, including everything after "--", are never checked.
+  void reject_unknown(const std::vector<std::string_view>& allowed) const;
 
  private:
   std::string program_;

@@ -98,6 +98,20 @@ TEST(CliOptions, GoodFlagsSetTheExpectedConfig) {
   const Parsed no_watch = parse({"--watch", "0"}, /*with_watch=*/false);
   ASSERT_TRUE(no_watch.ok) << no_watch.err;
   EXPECT_EQ(no_watch.tracer.watch_duration, defaults.watch_duration);
+
+  // shared_flag_names covers every flag read above, --watch only with_watch.
+  const char* every[] = {"tool",           "--cc=bbr",
+                         "--trace=t",      "--series-csv=s",
+                         "--telemetry",    "--telemetry-interval-ms=250",
+                         "--status-port=0", "--status-hold-ms=150",
+                         "--watch=2"};
+  const util::Args with(static_cast<int>(std::size(every)), every);
+  with.reject_unknown(shared_flag_names(/*with_watch=*/true));
+  EXPECT_TRUE(with.errors().empty());
+  const util::Args without(static_cast<int>(std::size(every)), every);
+  without.reject_unknown(shared_flag_names(/*with_watch=*/false));
+  EXPECT_EQ(without.errors(),
+            std::vector<std::string>{"--watch: unknown flag"});
 }
 
 }  // namespace

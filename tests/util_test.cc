@@ -374,6 +374,35 @@ TEST(Args, DoubleDashEndsFlagParsing) {
   EXPECT_TRUE(args.errors().empty());
 }
 
+// reject_unknown reports exactly the flags outside the allowed set, each by
+// name, and never looks at positional arguments.
+TEST(Args, RejectUnknownReportsEachUnknownFlagByName) {
+  const std::vector<std::string_view> allowed = {"scale", "threads", "live"};
+  const struct {
+    std::initializer_list<const char*> argv;
+    std::vector<std::string> unknown;
+  } cases[] = {
+      {{"prog"}, {}},
+      {{"prog", "summary", "--scale", "0.1", "--threads=2", "--live"}, {}},
+      {{"prog", "--thread", "2"}, {"--thread"}},
+      {{"prog", "--scale=0.1", "--metric=x", "--bogus"},
+       {"--bogus", "--metric"}},
+      {{"prog", "--threads", "2", "--", "--thread", "--x=1"}, {}},
+      {{"prog", "fig", "--", "--scale"}, {}},
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const auto args = make_args(cases[c].argv);
+    const std::vector<std::string> positional_before = args.positional();
+    args.reject_unknown(allowed);
+    ASSERT_EQ(args.errors().size(), cases[c].unknown.size()) << "case " << c;
+    for (std::size_t i = 0; i < cases[c].unknown.size(); ++i) {
+      EXPECT_EQ(args.errors()[i], cases[c].unknown[i] + ": unknown flag")
+          << "case " << c;
+    }
+    EXPECT_EQ(args.positional(), positional_before) << "case " << c;
+  }
+}
+
 TEST(SmallVec, StaysInlineUpToCapacity) {
   util::SmallVec<int, 3> v;
   EXPECT_TRUE(v.empty());

@@ -78,6 +78,14 @@ bool parse_shared_flags(const util::Args& args, bool with_watch,
   return args.errors().size() == errors_before;
 }
 
+std::vector<std::string_view> shared_flag_names(bool with_watch) {
+  std::vector<std::string_view> names = {
+      "cc",          "trace",          "series-csv", "telemetry",
+      "status-port", "status-hold-ms", "telemetry-interval-ms"};
+  if (with_watch) names.push_back("watch");
+  return names;
+}
+
 StatusExporter::StatusExporter() { obs::install_metrics(&metrics_); }
 
 StatusExporter::~StatusExporter() {

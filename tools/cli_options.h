@@ -6,6 +6,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -29,6 +31,10 @@ struct SharedFlags {
 bool parse_shared_flags(const util::Args& args, bool with_watch,
                         tracer::TracerConfig* tracer, SharedFlags* out,
                         std::ostream& err);
+
+// The flag names parse_shared_flags reads with the same `with_watch`, for
+// a tool's Args::reject_unknown list.
+std::vector<std::string_view> shared_flag_names(bool with_watch);
 
 // Installs a metrics registry for the process and, once start() is given a
 // port, serves it on 127.0.0.1 (GET /metrics, /progress, /healthz). The

@@ -23,9 +23,10 @@
 //        --flight-dir <dir> (anomaly flight-recorder JSON dumps; implies
 //        --telemetry and event tracing), --profile (worker self-profile).
 //        Like --trace, these force a fresh run: series live only in memory.
-//        Malformed numeric flag values are an error (exit 2), not a
-//        silent fallback to the default. `campaign` never holds the
-//        in-memory study, so it rejects --trace, --trace-play,
+//        Malformed numeric flag values, a --scale outside (0, 1], a negative
+//        --threads and any flag the command does not take are an error
+//        (exit 2), not a silent fallback to the default. `campaign` never
+//        holds the in-memory study, so it rejects --trace, --trace-play,
 //        --series-csv, --flight-dir, --profile and --cache-dir (exit 2).
 //        --status-port <0..65535> (embedded HTTP status exporter on
 //        127.0.0.1: GET /metrics Prometheus text, /progress JSON, /healthz;
@@ -42,6 +43,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <string_view>
+#include <vector>
 
 #include "cli_options.h"
 #include "obs/chrome_trace.h"
@@ -70,44 +73,18 @@ int cmd_summary(const study::StudyResult& result) {
 
 int cmd_fig(const study::StudyResult& result, const study::StudyConfig& cfg,
             int fig) {
-  using F = std::string (*)(const study::StudyResult&);
-  static const std::map<int, F> table = {
-      {5, &study::fig05_clips_per_user},
-      {6, &study::fig06_rated_per_user},
-      {7, &study::fig07_user_countries},
-      {8, &study::fig08_server_countries},
-      {9, &study::fig09_us_states},
-      {10, &study::fig10_availability},
-      {11, &study::fig11_framerate_all},
-      {12, &study::fig12_framerate_by_net},
-      {13, &study::fig13_bandwidth_by_net},
-      {14, &study::fig14_framerate_by_server_region},
-      {15, &study::fig15_framerate_by_user_region},
-      {16, &study::fig16_protocol_mix},
-      {17, &study::fig17_framerate_by_protocol},
-      {18, &study::fig18_bandwidth_by_protocol},
-      {19, &study::fig19_framerate_by_pc},
-      {20, &study::fig20_jitter_all},
-      {21, &study::fig21_jitter_by_net},
-      {22, &study::fig22_jitter_by_server_region},
-      {23, &study::fig23_jitter_by_user_region},
-      {24, &study::fig24_jitter_by_protocol},
-      {25, &study::fig25_jitter_by_bandwidth},
-      {26, &study::fig26_quality_all},
-      {27, &study::fig27_quality_by_net},
-      {28, &study::fig28_quality_vs_bandwidth},
-  };
   if (fig == 1) {
     std::cout << study::fig01_buffering(cfg);
     return 0;
   }
-  const auto it = table.find(fig);
-  if (it == table.end()) {
-    std::cerr << "no such figure: " << fig << " (1, 5..28)\n";
-    return 1;
+  for (const study::Figure& f : study::kFigures) {
+    if (f.number == fig) {
+      std::cout << f.render(result);
+      return 0;
+    }
   }
-  std::cout << it->second(result);
-  return 0;
+  std::cerr << "no such figure: " << fig << " (1, 5..28)\n";
+  return 1;
 }
 
 int cmd_slice(const study::StudyResult& result, const util::Args& args) {
@@ -147,7 +124,7 @@ int cmd_slice(const study::StudyResult& result, const util::Args& args) {
     values = study::bandwidths_kbps(records);
   } else if (metric == "rating") {
     values = study::ratings(records);
-  } else {
+  } else {  // fps, the default; main() rejects any other --metric
     values = study::frame_rates(records);
   }
   if (values.empty()) {
@@ -463,7 +440,8 @@ int main(int argc, char** argv) {
   // A campaign folds records into a rollup and never holds an in-memory
   // StudyResult, so the flags that export, profile or cache one have
   // nothing to act on there.
-  const bool campaign = args.positional()[0] == "campaign";
+  const std::string& command = args.positional()[0];
+  const bool campaign = command == "campaign";
   if (campaign) {
     for (const char* flag : {"trace", "trace-play", "series-csv",
                              "flight-dir", "profile", "cache-dir"}) {
@@ -475,11 +453,52 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Any other flag the command does not take is an error too, so a typo
+  // such as --thread cannot silently run with the default.
+  std::vector<std::string_view> allowed = tools::shared_flag_names(campaign);
+  allowed.insert(allowed.end(), {"help", "scale", "seed", "threads", "faults",
+                                 "outage-scale"});
+  if (campaign) {
+    allowed.insert(allowed.end(), {"plays-scale", "shard", "spill-dir",
+                                   "rollup-out", "chunk-users",
+                                   "heartbeat-dir"});
+  } else {
+    allowed.insert(allowed.end(),
+                   {"trace-play", "flight-dir", "profile", "cache-dir"});
+  }
+  if (command == "slice") {
+    allowed.insert(allowed.end(),
+                   {"country", "connection", "protocol", "server", "metric"});
+  }
+  args.reject_unknown(allowed);
+  if (!args.errors().empty()) {
+    for (const auto& err : args.errors()) std::cerr << err << "\n";
+    return 2;
+  }
+  if (command == "slice") {
+    const std::string metric = args.get_or("metric", "fps");
+    if (metric != "fps" && metric != "jitter" && metric != "bandwidth" &&
+        metric != "rating") {
+      std::cerr << "--metric expects one of fps|jitter|bandwidth|rating (got '"
+                << metric << "')\n";
+      return 2;
+    }
+  }
 
   study::StudyConfig config;
   config.play_scale = args.get_double("scale", 1.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
   config.threads = static_cast<int>(args.get_int("threads", 0));
+  if (!(config.play_scale > 0.0 && config.play_scale <= 1.0)) {
+    std::cerr << "--scale must be in (0, 1] (got " << config.play_scale
+              << ")\n";
+    return 2;
+  }
+  if (config.threads < 0) {
+    std::cerr << "--threads must be >= 0, 0 = every core (got "
+              << config.threads << ")\n";
+    return 2;
+  }
   tools::SharedFlags flags;
   if (!tools::parse_shared_flags(args, /*with_watch=*/campaign,
                                  &config.tracer, &flags, std::cerr)) {
@@ -606,7 +625,6 @@ int main(int argc, char** argv) {
   }
 
   int rc = 1;
-  const std::string& command = args.positional()[0];
   if (command == "summary") {
     rc = cmd_summary(result);
   } else if (command == "fig") {

@@ -20,8 +20,8 @@
 // chrome://tracing or ui.perfetto.dev; see docs/OBSERVABILITY.md).
 // --telemetry samples the play's time series (default every 500 ms of
 // sim-time); with --trace the series also becomes "C"-phase counter tracks,
-// and --series-csv exports it as CSV. Malformed numeric flag values exit 2
-// instead of silently using the default.
+// and --series-csv exports it as CSV. Malformed numeric flag values and
+// unknown flags exit 2 instead of silently using the default.
 //
 // Examples:
 //   retracer --connection modem --clip 8
@@ -32,6 +32,8 @@
 // observe the final counters. --watch must be a positive number of seconds.
 #include <exception>
 #include <iostream>
+#include <string_view>
+#include <vector>
 
 #include "cli_options.h"
 #include "obs/chrome_trace.h"
@@ -86,6 +88,12 @@ int main(int argc, char** argv) {
                  "       retracer --spill-read <path> [--spill-record <k>]\n";
     return 0;
   }
+  std::vector<std::string_view> allowed =
+      tools::shared_flag_names(/*with_watch=*/true);
+  allowed.insert(allowed.end(),
+                 {"spill-read", "spill-record", "connection", "pc", "region",
+                  "clip", "protocol", "live", "seed", "samples"});
+  args.reject_unknown(allowed);  // reported with the flag errors below
 
   if (args.has("spill-read")) {
     const std::string spill_path = args.get_or("spill-read", "");

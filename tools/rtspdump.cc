@@ -6,6 +6,7 @@
 // Usage:
 //   rtspdump [--connection modem|dsl|t1] [--clip <0..97>] [--protocol auto|tcp]
 //            [--seed <n>] [--packets]   (--packets: every data packet too)
+// Unknown flags and malformed numbers exit 2.
 #include <iostream>
 #include <map>
 
@@ -48,6 +49,10 @@ int run(const util::Args& args) {
 
   const auto playlist_index =
       static_cast<std::size_t>(args.get_int("clip", 0)) % catalog.size();
+  if (!args.errors().empty()) {
+    for (const auto& err : args.errors()) std::cerr << err << "\n";
+    return 2;
+  }
   const auto& site =
       world::server_sites()[media::Catalog::site_of(
           catalog.clip(playlist_index).id())];
@@ -143,5 +148,7 @@ int main(int argc, char** argv) {
                  " [--protocol auto|tcp] [--seed N] [--packets]\n";
     return 0;
   }
+  args.reject_unknown(
+      {"connection", "clip", "protocol", "seed", "packets", "help"});
   return run(args);
 }

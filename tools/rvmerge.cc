@@ -12,6 +12,7 @@
 // md5s are printed so drift is visible at a glance.
 //
 // --report additionally prints the merged rollup's human-readable report.
+// An unknown flag exits 2.
 //
 // Status mode (no merge):
 //   rvmerge --status <heartbeat-dir> [--stale-after SEC]
@@ -69,6 +70,11 @@ int cmd_status(const rv::util::Args& args) {
 int main(int argc, char** argv) {
   using namespace rv;
   const util::Args args(argc, argv);
+  args.reject_unknown({"out", "report", "status", "stale-after", "help"});
+  if (!args.errors().empty()) {
+    for (const auto& err : args.errors()) std::cerr << err << "\n";
+    return 2;
+  }
   if (args.has("status")) return cmd_status(args);
   if (args.has("help") || args.positional().empty()) {
     std::cout << "usage: rvmerge <shard-dir>... --out <dir> [--report]\n"
