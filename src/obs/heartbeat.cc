@@ -14,6 +14,7 @@
 
 #include "obs/metrics.h"
 #include "util/args.h"
+#include "util/bytes.h"
 #include "util/strings.h"
 
 namespace rv::obs {
@@ -173,11 +174,8 @@ bool write_heartbeat(const std::string& dir, const Heartbeat& hb,
 }
 
 bool load_heartbeat(const std::string& path, Heartbeat* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_heartbeat(buf.str(), out);
+  std::string bytes;
+  return util::read_file(path, bytes) && parse_heartbeat(bytes, out);
 }
 
 std::vector<Heartbeat> scan_heartbeats(const std::string& dir) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -294,17 +295,18 @@ MetricsRegistry* installed_metrics() {
   return detail::g_metrics.load(std::memory_order_acquire);
 }
 
-std::int64_t current_rss_kb() {
+std::int64_t proc_status_kb(std::string_view field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      long kb = 0;
-      std::sscanf(line.c_str(), "VmRSS: %ld", &kb);
-      return static_cast<std::int64_t>(kb);
+    if (line.size() > field.size() && line.starts_with(field) &&
+        line[field.size()] == ':') {
+      return std::strtoll(line.c_str() + field.size() + 1, nullptr, 10);
     }
   }
   return 0;
 }
+
+std::int64_t current_rss_kb() { return proc_status_kb("VmRSS"); }
 
 }  // namespace rv::obs

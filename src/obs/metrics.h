@@ -205,8 +205,11 @@ inline void metrics_observe(MetricHist h, double value) {
   if (__builtin_expect(r != nullptr, 0)) r->observe(h, value);
 }
 
-// Current (not peak) resident set in KiB from /proc/self/status VmRSS;
-// 0 when unavailable.
+// A "<field>: <n> kB" line of /proc/self/status (VmRSS, VmHWM, ...) in KiB;
+// 0 when the file or the field is unavailable.
+std::int64_t proc_status_kb(std::string_view field);
+
+// Current (not peak) resident set in KiB (VmRSS); 0 when unavailable.
 std::int64_t current_rss_kb();
 
 }  // namespace rv::obs

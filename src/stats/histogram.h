@@ -1,4 +1,5 @@
-// Fixed-bin histograms and labelled count tables (for the paper's bar charts).
+// Mergeable fixed-bin histograms and labelled count tables (for the paper's
+// bar charts).
 #pragma once
 
 #include <cstddef>
@@ -9,34 +10,13 @@
 
 namespace rv::stats {
 
-// Histogram over [lo, hi) with `bins` equal-width bins; values outside the
-// range land in the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 // Mergeable fixed-bin histogram sketch for study-level telemetry rollups.
 //
-// Unlike Histogram it carries u64 weights and supports exact merging:
-// two sketches with identical geometry combine bin-by-bin, so per-play
+// It carries u64 weights and supports exact merging: two sketches with
+// identical geometry combine bin-by-bin, so per-play
 // sketches built on any worker in any order reduce to the same study-level
 // sketch (merge is commutative and associative, bin-exact — proven in
-// stats_test). Values outside [lo, hi) clamp into the edge bins, mirroring
-// Histogram::add.
+// stats_test). Values outside [lo, hi) clamp into the edge bins.
 class MergeableHistogram {
  public:
   MergeableHistogram(double lo, double hi, std::size_t bins);

@@ -4,18 +4,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "study/spill.h"
+#include "util/bytes.h"
 #include "util/check.h"
+#include "util/md5.h"
 #include "util/strings.h"
 #include "world/types.h"
 
@@ -31,171 +30,115 @@ std::int64_t micro(double v) {
 
 double from_micro(std::int64_t u) { return static_cast<double>(u) / 1e6; }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
+using util::CodecRef;
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  put_u64(out, bits);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-void put_histogram(std::string& out, const stats::MergeableHistogram& h) {
-  put_f64(out, h.lo());
-  put_f64(out, h.hi());
-  put_u32(out, static_cast<std::uint32_t>(h.bins()));
+// The RVRU field lists, one per type; each drives both serialize and
+// parse. Histograms code sparsely: geometry, then the nonzero bins. Every
+// rollup histogram has a fixed geometry, which the reader's freshly built
+// target already carries; a file with any other geometry is refused here,
+// since merge() could not combine it.
+template <typename IO>
+void fields(IO& io, CodecRef<IO, stats::MergeableHistogram> h) {
+  double lo = h.lo(), hi = h.hi();
+  auto bins = static_cast<std::uint32_t>(h.bins());
   std::uint32_t nonzero = 0;
   for (std::size_t b = 0; b < h.bins(); ++b) {
     if (h.bin_count(b) != 0) ++nonzero;
   }
-  put_u32(out, nonzero);
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    if (h.bin_count(b) == 0) continue;
-    put_u32(out, static_cast<std::uint32_t>(b));
-    put_u64(out, h.bin_count(b));
-  }
-}
-
-// Bounds-checked parse cursor.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : p_(bytes.data()), end_(p_ + bytes.size()) {}
-
-  bool ok() const { return ok_; }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    take(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    take(&v, 8);
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return {};
+  io.fixed(lo);
+  io.fixed(hi);
+  io.fixed(bins);
+  io.fixed(nonzero);
+  if constexpr (IO::kReads) {
+    if (lo != h.lo() || hi != h.hi() || bins != h.bins() || nonzero > bins) {
+      io.fail();
     }
-    std::string s(p_, n);
-    p_ += n;
-    return s;
-  }
-
- private:
-  void take(void* out, std::size_t n) {
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return;
+    for (std::uint32_t i = 0; i < nonzero && io.ok(); ++i) {
+      const auto bin = io.template fixed<std::uint32_t>();
+      const auto weight = io.template fixed<std::uint64_t>();
+      if (bin >= bins) io.fail();
+      if (io.ok()) h.add_bin(bin, weight);
     }
-    std::memcpy(out, p_, n);
-    p_ += n;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
-
-bool read_histogram(Reader& r, stats::MergeableHistogram* out) {
-  const double lo = r.f64();
-  const double hi = r.f64();
-  const std::uint32_t bins = r.u32();
-  const std::uint32_t nonzero = r.u32();
-  if (!r.ok() || bins == 0 || bins > (1u << 20) || nonzero > bins ||
-      !(lo < hi)) {
-    return false;
-  }
-  stats::MergeableHistogram h(lo, hi, bins);
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    const std::uint32_t bin = r.u32();
-    const std::uint64_t weight = r.u64();
-    if (!r.ok() || bin >= bins) return false;
-    h.add_bin(bin, weight);
-  }
-  *out = h;
-  return true;
-}
-
-void put_sketch_map(std::string& out,
-                    const std::map<std::string, GroupSketch>& m) {
-  put_u32(out, static_cast<std::uint32_t>(m.size()));
-  for (const auto& [label, sketch] : m) {
-    put_string(out, label);
-    put_histogram(out, sketch.fps);
-    put_histogram(out, sketch.bw);
-  }
-}
-
-bool read_sketch_map(Reader& r, std::map<std::string, GroupSketch>* out) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 20)) return false;
-  out->clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string label = r.str();
-    GroupSketch sketch;
-    if (!r.ok() || !read_histogram(r, &sketch.fps) ||
-        !read_histogram(r, &sketch.bw)) {
-      return false;
+  } else {
+    for (std::size_t b = 0; b < h.bins(); ++b) {
+      if (h.bin_count(b) == 0) continue;
+      io.fixed(static_cast<std::uint32_t>(b));
+      io.fixed(h.bin_count(b));
     }
-    out->emplace(std::move(label), std::move(sketch));
-  }
-  return true;
-}
-
-void put_group_map(std::string& out,
-                   const std::map<std::string, CampaignGroup>& m) {
-  put_u32(out, static_cast<std::uint32_t>(m.size()));
-  for (const auto& [label, group] : m) {
-    put_string(out, label);
-    put_u64(out, group.plays);
-    put_histogram(out, group.fps);
-    put_histogram(out, group.bw);
   }
 }
 
-bool read_group_map(Reader& r, std::map<std::string, CampaignGroup>* out) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 20)) return false;
-  out->clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string label = r.str();
-    CampaignGroup group;
-    group.plays = r.u64();
-    if (!r.ok() || !read_histogram(r, &group.fps) ||
-        !read_histogram(r, &group.bw)) {
-      return false;
-    }
-    out->emplace(std::move(label), std::move(group));
-  }
-  return true;
+template <typename IO>
+void fields(IO& io, CodecRef<IO, CampaignGroup> g) {
+  io.fixed(g.plays);
+  fields(io, g.fps);
+  fields(io, g.bw);
+}
+
+template <typename IO>
+void fields(IO& io, CodecRef<IO, GroupSketch> g) {
+  fields(io, g.fps);
+  fields(io, g.bw);
+}
+
+// Everything after the magic and version, trailing magic included.
+template <typename IO>
+void fields(IO& io, CodecRef<IO, CampaignRollup> v) {
+  io.fixed(v.user_first);
+  io.fixed(v.user_count);
+  io.fixed(v.records);
+  io.fixed(v.accesses);
+  io.fixed(v.unavailable);
+  io.fixed(v.played);
+  io.fixed(v.rated);
+  io.fixed(v.udp_plays);
+  io.fixed(v.tcp_plays);
+  io.fixed(v.tcp_fallbacks);
+  io.fixed(v.http_fallbacks);
+  io.fixed(v.rtsp_retries);
+  io.fixed(v.rebuffer_events);
+  io.fixed(v.frames_played);
+  io.fixed(v.frames_dropped);
+  io.fixed(v.frames_cpu_scaled);
+  io.fixed(v.bytes_received);
+  io.fixed(v.packets_received);
+  io.fixed(v.repairs_received);
+  io.fixed(v.sum_fps_u);
+  io.fixed(v.sum_bw_kbps_u);
+  io.fixed(v.sum_jitter_ms_u);
+  io.fixed(v.sum_preroll_s_u);
+  io.fixed(v.sum_rebuffer_s_u);
+  io.fixed(v.sum_play_s_u);
+  io.fixed(v.sum_rating_u);
+  fields(io, v.h_fps);
+  fields(io, v.h_bw);
+  fields(io, v.h_jitter);
+  fields(io, v.h_preroll);
+  fields(io, v.h_rating);
+  const auto each = [&io](auto& value) { fields(io, value); };
+  io.map(v.by_class, 1u << 20, each);
+  io.map(v.by_region, 1u << 20, each);
+  io.map(v.by_server, 1u << 20, each);
+  auto& tel = v.telemetry;
+  io.fixed(tel.plays);
+  io.fixed(tel.samples);
+  io.map(tel.by_class, 1u << 20, each);
+  io.map(tel.by_region, 1u << 20, each);
+  io.map(tel.by_server, 1u << 20, each);
+  io.map(tel.bottleneck, 1u << 20, [&io](auto& row) {
+    io.seq(row, 1u << 10,
+           [&io](auto& n) { util::fixed_as<std::int64_t>(io, n); });
+  });
+  io.expect(kRollupMagic);
+}
+
+// The 16 md5 bytes a rollup file appends to its serialized bytes, so a
+// flipped or torn byte anywhere fails load() instead of merging silently.
+std::string file_digest(std::string_view bytes) {
+  util::Md5 md5;
+  md5.update(bytes);
+  const auto digest = md5.digest();
+  return std::string(digest.begin(), digest.end());
 }
 
 std::string pad_left(const std::string& s, std::size_t width) {
@@ -398,127 +341,31 @@ std::string CampaignRollup::render() const {
 }
 
 std::string CampaignRollup::serialize() const {
-  std::string out;
-  put_u32(out, kRollupMagic);
-  put_u32(out, kRollupVersion);
-  put_u64(out, user_first);
-  put_u64(out, user_count);
-  put_u64(out, records);
-  put_u64(out, accesses);
-  put_u64(out, unavailable);
-  put_u64(out, played);
-  put_u64(out, rated);
-  put_u64(out, udp_plays);
-  put_u64(out, tcp_plays);
-  put_u64(out, tcp_fallbacks);
-  put_u64(out, http_fallbacks);
-  put_u64(out, rtsp_retries);
-  put_u64(out, rebuffer_events);
-  put_u64(out, frames_played);
-  put_u64(out, frames_dropped);
-  put_u64(out, frames_cpu_scaled);
-  put_u64(out, bytes_received);
-  put_u64(out, packets_received);
-  put_u64(out, repairs_received);
-  put_i64(out, sum_fps_u);
-  put_i64(out, sum_bw_kbps_u);
-  put_i64(out, sum_jitter_ms_u);
-  put_i64(out, sum_preroll_s_u);
-  put_i64(out, sum_rebuffer_s_u);
-  put_i64(out, sum_play_s_u);
-  put_i64(out, sum_rating_u);
-  put_histogram(out, h_fps);
-  put_histogram(out, h_bw);
-  put_histogram(out, h_jitter);
-  put_histogram(out, h_preroll);
-  put_histogram(out, h_rating);
-  put_group_map(out, by_class);
-  put_group_map(out, by_region);
-  put_group_map(out, by_server);
-  put_u64(out, telemetry.plays);
-  put_u64(out, telemetry.samples);
-  put_sketch_map(out, telemetry.by_class);
-  put_sketch_map(out, telemetry.by_region);
-  put_sketch_map(out, telemetry.by_server);
-  put_u32(out, static_cast<std::uint32_t>(telemetry.bottleneck.size()));
-  for (const auto& [label, row] : telemetry.bottleneck) {
-    put_string(out, label);
-    put_u32(out, static_cast<std::uint32_t>(row.size()));
-    for (const int n : row) put_i64(out, n);
-  }
-  put_u32(out, kRollupMagic);
-  return out;
+  util::ByteWriter w;
+  w.fixed(kRollupMagic);
+  w.fixed(kRollupVersion);
+  fields(w, *this);
+  return w.take();
 }
 
 bool CampaignRollup::parse(const std::string& bytes, CampaignRollup* out,
                            std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
+  const auto fail = [error](std::string what) {
+    if (error != nullptr) *error = std::move(what);
     return false;
   };
-  Reader r(bytes);
-  if (r.u32() != kRollupMagic) return fail("not a campaign rollup (bad magic)");
-  if (r.u32() != kRollupVersion) return fail("unsupported rollup version");
+  util::ByteReader r(bytes);
+  if (r.fixed<std::uint32_t>() != kRollupMagic) {
+    return fail("not a campaign rollup (bad magic)");
+  }
+  if (r.fixed<std::uint32_t>() != kRollupVersion) {
+    return fail("unsupported rollup version");
+  }
   CampaignRollup v;
-  v.user_first = r.u64();
-  v.user_count = r.u64();
-  v.records = r.u64();
-  v.accesses = r.u64();
-  v.unavailable = r.u64();
-  v.played = r.u64();
-  v.rated = r.u64();
-  v.udp_plays = r.u64();
-  v.tcp_plays = r.u64();
-  v.tcp_fallbacks = r.u64();
-  v.http_fallbacks = r.u64();
-  v.rtsp_retries = r.u64();
-  v.rebuffer_events = r.u64();
-  v.frames_played = r.u64();
-  v.frames_dropped = r.u64();
-  v.frames_cpu_scaled = r.u64();
-  v.bytes_received = r.u64();
-  v.packets_received = r.u64();
-  v.repairs_received = r.u64();
-  v.sum_fps_u = r.i64();
-  v.sum_bw_kbps_u = r.i64();
-  v.sum_jitter_ms_u = r.i64();
-  v.sum_preroll_s_u = r.i64();
-  v.sum_rebuffer_s_u = r.i64();
-  v.sum_play_s_u = r.i64();
-  v.sum_rating_u = r.i64();
-  if (!r.ok()) return fail("truncated rollup header");
-  if (!read_histogram(r, &v.h_fps) || !read_histogram(r, &v.h_bw) ||
-      !read_histogram(r, &v.h_jitter) || !read_histogram(r, &v.h_preroll) ||
-      !read_histogram(r, &v.h_rating)) {
-    return fail("corrupt rollup histogram");
-  }
-  if (!read_group_map(r, &v.by_class) || !read_group_map(r, &v.by_region) ||
-      !read_group_map(r, &v.by_server)) {
-    return fail("corrupt rollup group table");
-  }
-  v.telemetry.plays = r.u64();
-  v.telemetry.samples = r.u64();
-  if (!r.ok() || !read_sketch_map(r, &v.telemetry.by_class) ||
-      !read_sketch_map(r, &v.telemetry.by_region) ||
-      !read_sketch_map(r, &v.telemetry.by_server)) {
-    return fail("corrupt rollup telemetry section");
-  }
-  const std::uint32_t n_rows = r.u32();
-  if (!r.ok() || n_rows > (1u << 20)) {
-    return fail("corrupt rollup bottleneck table");
-  }
-  for (std::uint32_t i = 0; i < n_rows; ++i) {
-    std::string label = r.str();
-    const std::uint32_t len = r.u32();
-    if (!r.ok() || len > (1u << 10)) {
-      return fail("corrupt rollup bottleneck table");
-    }
-    std::vector<int> row(len);
-    for (auto& n : row) n = static_cast<int>(r.i64());
-    v.telemetry.bottleneck.emplace(std::move(label), std::move(row));
-  }
-  if (!r.ok() || r.u32() != kRollupMagic) {
-    return fail("corrupt rollup trailer");
+  fields(r, v);
+  if (!r.at_end()) {
+    return fail(util::str_cat("corrupt rollup at byte ", r.pos(), " of ",
+                              bytes.size()));
   }
   *out = std::move(v);
   return true;
@@ -527,7 +374,8 @@ bool CampaignRollup::parse(const std::string& bytes, CampaignRollup* out,
 bool CampaignRollup::save(const std::string& path) const {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.good()) return false;
-  const std::string bytes = serialize();
+  std::string bytes = serialize();
+  bytes += file_digest(bytes);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   os.flush();
   return os.good();
@@ -535,26 +383,25 @@ bool CampaignRollup::save(const std::string& path) const {
 
 bool CampaignRollup::load(const std::string& path, CampaignRollup* out,
                           std::string* error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
+  std::string bytes;
+  if (!util::read_file(path, bytes)) {
     if (error != nullptr) *error = "cannot open rollup file: " + path;
     return false;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), out, error);
+  const std::size_t body = bytes.size() - std::min<std::size_t>(bytes.size(), 16);
+  if (bytes.size() < 16 ||
+      bytes.compare(body, 16, file_digest({bytes.data(), body})) != 0) {
+    if (error != nullptr) *error = "rollup checksum mismatch in " + path;
+    return false;
+  }
+  bytes.resize(body);
+  if (parse(bytes, out, error)) return true;
+  if (error != nullptr) *error += " in " + path;
+  return false;
 }
 
 std::uint64_t peak_rss_kb() {
-  std::ifstream is("/proc/self/status");
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::uint64_t>(
-          std::strtoull(line.c_str() + 6, nullptr, 10));
-    }
-  }
-  return 0;
+  return static_cast<std::uint64_t>(obs::proc_status_kb("VmHWM"));
 }
 
 namespace {

@@ -1,7 +1,10 @@
 #include "study/spill.h"
 
-#include <cstring>
+#include <array>
+#include <bit>
+#include <string_view>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace rv::study {
@@ -52,196 +55,228 @@ enum Column : std::size_t {
   kColumnCount,
 };
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
+using util::CodecRef;
+using ColumnLengths = std::array<std::uint32_t, kColumnCount>;
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
+// A frame's header: its record count, the column count and each column's
+// payload byte length.
+template <typename IO>
+void frame_header(IO& io, CodecRef<IO, std::uint32_t> records,
+                  CodecRef<IO, ColumnLengths> lengths) {
+  io.fixed(records);
+  io.expect(static_cast<std::uint32_t>(kColumnCount));
+  for (auto& len : lengths) io.fixed(len);
 }
+constexpr std::size_t kFrameHeaderBytes = 4 * (2 + kColumnCount);
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-std::uint64_t double_bits(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, 8);
-  return b;
-}
-
-double bits_double(std::uint64_t b) {
-  double d;
-  std::memcpy(&d, &b, 8);
-  return d;
-}
-
-// Delta-of-previous zigzag varints: monotone-ish columns (user_id, clip_id)
-// collapse to one byte per record.
-class IntColumn {
+// Frame codecs: one column buffer each, plus the previous value each
+// delta/XOR column codes against. `columns()` walks a record through either.
+class FrameWriter {
  public:
-  void add(std::int64_t v) {
-    put_varint(buf_, zigzag(v - prev_));
-    prev_ = v;
+  static constexpr bool kReads = false;
+
+  FrameWriter(std::unordered_map<std::uint32_t, std::uint32_t>& local_ids,
+              std::vector<std::string>& strings)
+      : local_ids_(local_ids), strings_(strings) {}
+
+  // Zigzag varint of the delta from the previous value: monotone-ish
+  // columns (user_id, clip_id) collapse to one byte per record. Deltas wrap
+  // in u64, so no value can overflow.
+  template <typename T>
+  void delta(Column c, const T& v) {
+    const auto u = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    const auto d = static_cast<std::int64_t>(u - prev_[c]);
+    cols_[c].varint((static_cast<std::uint64_t>(d) << 1) ^
+                    static_cast<std::uint64_t>(d >> 63));
+    prev_[c] = u;
   }
-  std::string take() {
-    prev_ = 0;
-    return std::move(buf_);
+  // XOR-with-previous varint of the bits: repeated doubles (all-zero
+  // columns for plays that never established) code as one byte;
+  // slowly-varying mantissas share their high bytes.
+  void bits(Column c, double v) {
+    const auto b = std::bit_cast<std::uint64_t>(v);
+    cols_[c].varint(b ^ prev_[c]);
+    prev_[c] = b;
   }
-
- private:
-  std::int64_t prev_ = 0;
-  std::string buf_;
-};
-
-// XOR-with-previous varints: repeated doubles (all-zero columns for plays
-// that never established) encode as one byte; slowly-varying mantissas
-// share their high bytes.
-class DoubleColumn {
- public:
-  void add(double d) {
-    const std::uint64_t bits = double_bits(d);
-    put_varint(buf_, bits ^ prev_);
-    prev_ = bits;
+  template <typename E>
+  void byte(Column c, const E& e) {
+    cols_[c].fixed(static_cast<std::uint8_t>(e));
   }
-  std::string take() {
-    prev_ = 0;
-    return std::move(buf_);
+  void bit(Column c, bool b) { cols_[c].bit(b); }
+  // Pooled ids through the file-local, first-appearance string table.
+  void symbol(Column c, util::Symbol s) {
+    const auto [it, inserted] = local_ids_.emplace(
+        s.id(), static_cast<std::uint32_t>(strings_.size()));
+    if (inserted) strings_.push_back(s.str());
+    cols_[c].varint(it->second);
   }
+  template <typename T>
+  void resize(const std::vector<T>&, std::int64_t, Column) {}
 
- private:
-  std::uint64_t prev_ = 0;
-  std::string buf_;
-};
-
-class BoolColumn {
- public:
-  void add(bool b) {
-    if (fill_ == 0) buf_.push_back(0);
-    if (b) buf_.back() = static_cast<char>(buf_.back() | (1 << fill_));
-    fill_ = (fill_ + 1) % 8;
-  }
-  std::string take() {
-    fill_ = 0;
-    return std::move(buf_);
-  }
-
- private:
-  int fill_ = 0;
-  std::string buf_;
-};
-
-// Bounds-checked cursor over an encoded column payload.
-class Cursor {
- public:
-  Cursor(const char* p, std::size_t n) : p_(p), end_(p + n) {}
-
-  bool varint(std::uint64_t& out) {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (p_ < end_) {
-      const std::uint8_t byte = static_cast<std::uint8_t>(*p_++);
-      if (shift >= 64) return false;
-      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        out = v;
-        return true;
-      }
-      shift += 7;
+  // The frame header, then the column payloads in column order.
+  std::string finish(std::uint32_t records) {
+    ColumnLengths lengths;
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+      lengths[c] = static_cast<std::uint32_t>(cols_[c].bytes().size());
     }
-    return false;
+    util::ByteWriter out;
+    frame_header(out, records, lengths);
+    std::string frame = out.take();
+    for (const auto& col : cols_) frame.append(col.bytes());
+    return frame;
   }
 
-  bool bit(bool& out) {
-    if (fill_ == 0) {
-      if (p_ >= end_) return false;
-      byte_ = static_cast<std::uint8_t>(*p_++);
+ private:
+  util::ByteWriter cols_[kColumnCount];
+  std::uint64_t prev_[kColumnCount] = {};
+  std::unordered_map<std::uint32_t, std::uint32_t>& local_ids_;
+  std::vector<std::string>& strings_;
+};
+
+class FrameReader {
+ public:
+  static constexpr bool kReads = true;
+
+  explicit FrameReader(const std::vector<std::string>& strings)
+      : strings_(strings) {}
+
+  // Splits a frame's payload blob by the column byte lengths.
+  void open(std::string_view blob, const ColumnLengths& lengths) {
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+      cols_[c] = util::ByteReader(blob.substr(0, lengths[c]));
+      blob.remove_prefix(lengths[c]);
     }
-    out = (byte_ >> fill_) & 1;
-    fill_ = (fill_ + 1) % 8;
-    return true;
   }
 
-  bool u8(std::uint8_t& out) {
-    if (p_ >= end_) return false;
-    out = static_cast<std::uint8_t>(*p_++);
+  template <typename T>
+  void delta(Column c, T& v) {
+    const std::uint64_t z = cols_[c].varint();
+    const auto d = static_cast<std::int64_t>(z >> 1) ^
+                   -static_cast<std::int64_t>(z & 1);
+    prev_[c] += static_cast<std::uint64_t>(d);
+    v = static_cast<T>(static_cast<std::int64_t>(prev_[c]));
+  }
+  void bits(Column c, double& v) {
+    prev_[c] ^= cols_[c].varint();
+    v = std::bit_cast<double>(prev_[c]);
+  }
+  template <typename E>
+  void byte(Column c, E& e) {
+    e = static_cast<E>(cols_[c].fixed<std::uint8_t>());
+  }
+  void bit(Column c, bool& b) { b = cols_[c].bit(); }
+  void symbol(Column c, util::Symbol& s) {
+    const std::uint64_t local = cols_[c].varint();
+    if (local < strings_.size()) {
+      s = util::Symbol(strings_[static_cast<std::size_t>(local)]);
+    } else {
+      cols_[c].fail();
+    }
+  }
+  // Sizes `v` to a decoded count; each element codes at least one byte of
+  // column `data`, so a count past its remaining bytes is corrupt.
+  template <typename T>
+  void resize(std::vector<T>& v, std::int64_t n, Column data) {
+    if (n < 0 || static_cast<std::uint64_t>(n) > cols_[data].remaining()) {
+      cols_[data].fail();
+      return;
+    }
+    v.resize(static_cast<std::size_t>(n));
+  }
+
+  bool ok() const {
+    for (const auto& col : cols_) {
+      if (!col.ok()) return false;
+    }
     return true;
   }
 
  private:
-  const char* p_;
-  const char* end_;
-  std::uint8_t byte_ = 0;
-  int fill_ = 0;
+  util::ByteReader cols_[kColumnCount];
+  std::uint64_t prev_[kColumnCount] = {};
+  const std::vector<std::string>& strings_;
 };
 
-class IntCursor {
- public:
-  IntCursor(const char* p, std::size_t n) : cur_(p, n) {}
-  bool next(std::int64_t& out) {
-    std::uint64_t raw;
-    if (!cur_.varint(raw)) return false;
-    prev_ += unzigzag(raw);
-    out = prev_;
-    return true;
+// The RVSP column table: which column each record field codes into, and
+// in what order. The shared enum, bool and symbol columns interleave their
+// fields per record in the order listed here.
+template <typename F>
+void columns(F& f, CodecRef<F, tracer::TraceRecord> rec) {
+  auto& st = rec.stats;
+  f.delta(kColUserId, rec.user_id);
+  f.delta(kColClipId, rec.clip_id);
+  f.delta(kColSite, rec.site);
+  f.delta(kColRtspRetries, st.rtsp_retries);
+  f.delta(kColRebufferEvents, st.rebuffer_events);
+  f.delta(kColFramesPlayed, st.frames_played);
+  f.delta(kColFramesDropped, st.frames_dropped);
+  f.delta(kColFramesCpuScaled, st.frames_cpu_scaled);
+  f.delta(kColBytesReceived, st.bytes_received);
+  f.delta(kColPacketsReceived, st.packets_received);
+  f.delta(kColRepairsReceived, st.repairs_received);
+  auto n_samples = static_cast<std::int64_t>(st.samples.size());
+  f.delta(kColSampleCount, n_samples);
+  f.byte(kColEnums, rec.user_group);
+  f.byte(kColEnums, rec.connection);
+  f.byte(kColEnums, rec.server_group);
+  f.byte(kColEnums, st.protocol);
+  f.bit(kColBools, rec.rtsp_blocked_user);
+  f.bit(kColBools, rec.available);
+  f.bit(kColBools, st.session_established);
+  f.bit(kColBools, st.played_any_frame);
+  f.bit(kColBools, st.fell_back_to_tcp);
+  f.bit(kColBools, st.fell_back_to_http);
+  f.symbol(kColSymbols, rec.country);
+  f.symbol(kColSymbols, rec.us_state);
+  f.symbol(kColSymbols, rec.pc_class);
+  f.symbol(kColSymbols, rec.server_name);
+  f.symbol(kColSymbols, rec.server_country);
+  f.bits(kColRating, rec.rating);
+  f.bits(kColEncodedBandwidth, st.encoded_bandwidth);
+  f.bits(kColEncodedFps, st.encoded_fps);
+  f.bits(kColMeasuredBandwidth, st.measured_bandwidth);
+  f.bits(kColMeasuredFps, st.measured_fps);
+  f.bits(kColJitterMs, st.jitter_ms);
+  f.bits(kColRebufferSeconds, st.rebuffer_seconds);
+  f.bits(kColPrerollSeconds, st.preroll_seconds);
+  f.bits(kColPlaySeconds, st.play_seconds);
+  f.bits(kColCpuUtilization, st.cpu_utilization);
+  f.resize(st.samples, n_samples, kColSampleT);
+  for (auto& s : st.samples) {
+    f.bits(kColSampleT, s.t_seconds);
+    f.bits(kColSampleBandwidth, s.bandwidth);
+    f.bits(kColSampleFps, s.frame_rate);
   }
-
- private:
-  Cursor cur_;
-  std::int64_t prev_ = 0;
-};
-
-class DoubleCursor {
- public:
-  DoubleCursor(const char* p, std::size_t n) : cur_(p, n) {}
-  bool next(double& out) {
-    std::uint64_t raw;
-    if (!cur_.varint(raw)) return false;
-    prev_ ^= raw;
-    out = bits_double(prev_);
-    return true;
-  }
-
- private:
-  Cursor cur_;
-  std::uint64_t prev_ = 0;
-};
-
-bool read_exact(std::ifstream& is, char* buf, std::streamsize n) {
-  is.read(buf, n);
-  return is.gcount() == n && is.good();
 }
 
-bool read_u32(std::ifstream& is, std::uint32_t& v) {
-  char b[4];
-  if (!read_exact(is, b, 4)) return false;
-  std::memcpy(&v, b, 4);
-  return true;
+// The footer: the string table, then one index entry per frame.
+template <typename IO>
+void footer(IO& io, CodecRef<IO, std::vector<std::string>> strings,
+            CodecRef<IO, std::vector<SpillFrame>> index) {
+  io.seq(strings, 1u << 20, [&io](auto& s) { io.str(s); });
+  io.seq(index, UINT32_MAX, [&io](auto& e) {
+    io.fixed(e.offset);
+    io.fixed(e.first_record);
+    io.fixed(e.record_count);
+  });
 }
 
-bool read_u64(std::ifstream& is, std::uint64_t& v) {
-  char b[8];
-  if (!read_exact(is, b, 8)) return false;
-  std::memcpy(&v, b, 8);
-  return true;
+// The last 12 bytes: where the footer starts, and the end magic.
+template <typename IO>
+void trailer(IO& io, CodecRef<IO, std::uint64_t> footer_offset) {
+  io.fixed(footer_offset);
+  io.expect(kEndMagic);
+}
+
+// Exactly `n` bytes at `offset`, read into `buf`; empty on a short read.
+std::string_view read_at(std::ifstream& is, std::uint64_t offset,
+                         std::size_t n, std::string& buf) {
+  is.clear();
+  is.seekg(static_cast<std::streamoff>(offset));
+  buf.resize(n);
+  is.read(buf.data(), static_cast<std::streamsize>(n));
+  if (is.gcount() != static_cast<std::streamsize>(n)) return {};
+  return buf;
 }
 
 }  // namespace
@@ -250,23 +285,17 @@ SpillWriter::SpillWriter(const std::string& path)
     : os_(path, std::ios::binary | std::ios::trunc) {
   ok_ = os_.good();
   if (!ok_) return;
-  std::string header;
-  put_u32(header, kMagic);
-  put_u32(header, kVersion);
-  os_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  util::ByteWriter header;
+  header.fixed(kMagic);
+  header.fixed(kVersion);
+  os_.write(header.bytes().data(),
+            static_cast<std::streamsize>(header.bytes().size()));
   ok_ = os_.good();
-  bytes_written_ = header.size();
+  bytes_written_ = header.bytes().size();
   frame_.reserve(kSpillFrameRecords);
 }
 
 SpillWriter::~SpillWriter() { finish(); }
-
-std::uint32_t SpillWriter::local_id(util::Symbol s) {
-  const auto [it, inserted] =
-      symbol_to_local_.emplace(s.id(), static_cast<std::uint32_t>(strings_.size()));
-  if (inserted) strings_.push_back(s.str());
-  return it->second;
-}
 
 void SpillWriter::append(const tracer::TraceRecord& rec) {
   if (!ok_ || finished_) return;
@@ -281,90 +310,11 @@ void SpillWriter::append(const tracer::TraceRecord& rec) {
 
 void SpillWriter::flush_frame() {
   if (frame_.empty()) return;
-  IntColumn ints[12];
-  DoubleColumn doubles[10];
-  DoubleColumn sample_cols[3];
-  BoolColumn bools;
-  std::string enums;
-  std::string symbols;
-  for (const auto& rec : frame_) {
-    const auto& st = rec.stats;
-    ints[0].add(rec.user_id);
-    ints[1].add(rec.clip_id);
-    ints[2].add(static_cast<std::int64_t>(rec.site));
-    ints[3].add(st.rtsp_retries);
-    ints[4].add(st.rebuffer_events);
-    ints[5].add(st.frames_played);
-    ints[6].add(st.frames_dropped);
-    ints[7].add(st.frames_cpu_scaled);
-    ints[8].add(st.bytes_received);
-    ints[9].add(st.packets_received);
-    ints[10].add(st.repairs_received);
-    ints[11].add(static_cast<std::int64_t>(st.samples.size()));
-    enums.push_back(static_cast<char>(rec.user_group));
-    enums.push_back(static_cast<char>(rec.connection));
-    enums.push_back(static_cast<char>(rec.server_group));
-    enums.push_back(static_cast<char>(st.protocol));
-    bools.add(rec.rtsp_blocked_user);
-    bools.add(rec.available);
-    bools.add(st.session_established);
-    bools.add(st.played_any_frame);
-    bools.add(st.fell_back_to_tcp);
-    bools.add(st.fell_back_to_http);
-    put_varint(symbols, local_id(rec.country));
-    put_varint(symbols, local_id(rec.us_state));
-    put_varint(symbols, local_id(rec.pc_class));
-    put_varint(symbols, local_id(rec.server_name));
-    put_varint(symbols, local_id(rec.server_country));
-    doubles[0].add(rec.rating);
-    doubles[1].add(st.encoded_bandwidth);
-    doubles[2].add(st.encoded_fps);
-    doubles[3].add(st.measured_bandwidth);
-    doubles[4].add(st.measured_fps);
-    doubles[5].add(st.jitter_ms);
-    doubles[6].add(st.rebuffer_seconds);
-    doubles[7].add(st.preroll_seconds);
-    doubles[8].add(st.play_seconds);
-    doubles[9].add(st.cpu_utilization);
-    for (const auto& s : st.samples) {
-      sample_cols[0].add(s.t_seconds);
-      sample_cols[1].add(s.bandwidth);
-      sample_cols[2].add(s.frame_rate);
-    }
-  }
+  FrameWriter f(symbol_to_local_, strings_);
+  for (const auto& rec : frame_) columns(f, rec);
+  const std::string out = f.finish(static_cast<std::uint32_t>(frame_.size()));
 
-  std::string payloads[kColumnCount];
-  payloads[kColUserId] = ints[0].take();
-  payloads[kColClipId] = ints[1].take();
-  payloads[kColSite] = ints[2].take();
-  payloads[kColRtspRetries] = ints[3].take();
-  payloads[kColRebufferEvents] = ints[4].take();
-  payloads[kColFramesPlayed] = ints[5].take();
-  payloads[kColFramesDropped] = ints[6].take();
-  payloads[kColFramesCpuScaled] = ints[7].take();
-  payloads[kColBytesReceived] = ints[8].take();
-  payloads[kColPacketsReceived] = ints[9].take();
-  payloads[kColRepairsReceived] = ints[10].take();
-  payloads[kColSampleCount] = ints[11].take();
-  payloads[kColEnums] = std::move(enums);
-  payloads[kColBools] = bools.take();
-  payloads[kColSymbols] = std::move(symbols);
-  for (int i = 0; i < 10; ++i) {
-    payloads[kColRating + static_cast<std::size_t>(i)] = doubles[i].take();
-  }
-  payloads[kColSampleT] = sample_cols[0].take();
-  payloads[kColSampleBandwidth] = sample_cols[1].take();
-  payloads[kColSampleFps] = sample_cols[2].take();
-
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(frame_.size()));
-  put_u32(out, kColumnCount);
-  for (const auto& p : payloads) {
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
-  }
-  for (const auto& p : payloads) out.append(p);
-
-  FrameEntry entry;
+  SpillFrame entry;
   entry.offset = static_cast<std::uint64_t>(os_.tellp());
   entry.first_record = records_ - frame_.size();
   entry.record_count = static_cast<std::uint32_t>(frame_.size());
@@ -382,25 +332,14 @@ bool SpillWriter::finish() {
     return false;
   }
   flush_frame();
-  const auto footer_offset = static_cast<std::uint64_t>(os_.tellp());
-  std::string footer;
-  put_u32(footer, static_cast<std::uint32_t>(strings_.size()));
-  for (const auto& s : strings_) {
-    put_u32(footer, static_cast<std::uint32_t>(s.size()));
-    footer.append(s);
-  }
-  put_u32(footer, static_cast<std::uint32_t>(index_.size()));
-  for (const auto& e : index_) {
-    put_u64(footer, e.offset);
-    put_u64(footer, e.first_record);
-    put_u32(footer, e.record_count);
-  }
-  put_u64(footer, footer_offset);
-  put_u32(footer, kEndMagic);
-  os_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+  auto footer_offset = static_cast<std::uint64_t>(os_.tellp());
+  util::ByteWriter w;
+  footer(w, strings_, index_);
+  trailer(w, footer_offset);
+  os_.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
   os_.flush();
   ok_ = ok_ && os_.good();
-  bytes_written_ = footer_offset + footer.size();
+  bytes_written_ = footer_offset + w.bytes().size();
   finished_ = true;
   os_.close();
   return ok_;
@@ -419,12 +358,13 @@ bool SpillReader::open(const std::string& path) {
     error_ = "cannot open spill file: " + path;
     return false;
   }
-  std::uint32_t magic = 0, version = 0;
-  if (!read_u32(is_, magic) || magic != kMagic) {
+  std::string buf;
+  util::ByteReader header(read_at(is_, 0, 8, buf));
+  if (header.fixed<std::uint32_t>() != kMagic) {
     error_ = "not a spill file (bad magic): " + path;
     return false;
   }
-  if (!read_u32(is_, version) || version != kVersion) {
+  if (header.fixed<std::uint32_t>() != kVersion) {
     error_ = "unsupported spill version in " + path;
     return false;
   }
@@ -434,51 +374,24 @@ bool SpillReader::open(const std::string& path) {
     error_ = "truncated spill file: " + path;
     return false;
   }
-  is_.seekg(static_cast<std::streamoff>(file_size - 12));
-  std::uint64_t footer_offset = 0;
-  std::uint32_t end_magic = 0;
-  if (!read_u64(is_, footer_offset) || !read_u32(is_, end_magic) ||
-      end_magic != kEndMagic || footer_offset >= file_size) {
+  util::ByteReader tail(read_at(is_, file_size - 12, 12, buf));
+  trailer(tail, footer_offset_);
+  if (!tail.ok() || footer_offset_ < 8 || footer_offset_ > file_size - 12) {
     error_ = "corrupt spill trailer in " + path;
     return false;
   }
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(footer_offset));
-  std::uint32_t string_count = 0;
-  if (!read_u32(is_, string_count) || string_count > (1u << 20)) {
-    error_ = "corrupt spill string table in " + path;
-    return false;
-  }
-  strings_.reserve(string_count);
-  for (std::uint32_t i = 0; i < string_count; ++i) {
-    std::uint32_t len = 0;
-    if (!read_u32(is_, len) || len > file_size) {
-      error_ = "corrupt spill string table in " + path;
-      return false;
-    }
-    std::string s(len, '\0');
-    if (len > 0 && !read_exact(is_, s.data(), len)) {
-      error_ = "corrupt spill string table in " + path;
-      return false;
-    }
-    strings_.push_back(std::move(s));
-  }
-  std::uint32_t frame_count = 0;
-  if (!read_u32(is_, frame_count) || frame_count > file_size) {
-    error_ = "corrupt spill frame index in " + path;
-    return false;
-  }
-  index_.reserve(frame_count);
-  for (std::uint32_t i = 0; i < frame_count; ++i) {
-    FrameEntry e;
-    if (!read_u64(is_, e.offset) || !read_u64(is_, e.first_record) ||
-        !read_u32(is_, e.record_count) || e.offset >= footer_offset ||
-        e.first_record != records_) {
-      error_ = "corrupt spill frame index in " + path;
-      return false;
-    }
+  const auto footer_size =
+      static_cast<std::size_t>(file_size - 12 - footer_offset_);
+  util::ByteReader r(read_at(is_, footer_offset_, footer_size, buf));
+  footer(r, strings_, index_);
+  bool ok = r.at_end();
+  for (const SpillFrame& e : index_) {
+    ok = ok && e.offset < footer_offset_ && e.first_record == records_;
     records_ += e.record_count;
-    index_.push_back(e);
+  }
+  if (!ok) {
+    error_ = "corrupt spill footer in " + path;
+    return false;
   }
   ok_ = true;
   return true;
@@ -493,140 +406,35 @@ bool SpillReader::read_frame(std::size_t frame,
                              std::vector<tracer::TraceRecord>& out) const {
   out.clear();
   if (!ok_ || frame >= index_.size()) return false;
-  const FrameEntry& entry = index_[frame];
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(entry.offset));
-  std::uint32_t record_count = 0, column_count = 0;
-  if (!read_u32(is_, record_count) || record_count != entry.record_count ||
-      !read_u32(is_, column_count) || column_count != kColumnCount) {
-    return false;
-  }
-  std::uint32_t lengths[kColumnCount];
+  const SpillFrame& entry = index_[frame];
+  std::string buf;
+  util::ByteReader header(read_at(is_, entry.offset, kFrameHeaderBytes, buf));
+  std::uint32_t records = 0;
+  ColumnLengths lengths;
+  frame_header(header, records, lengths);
   std::uint64_t total = 0;
-  for (auto& len : lengths) {
-    if (!read_u32(is_, len)) return false;
-    total += len;
-  }
-  std::string blob(total, '\0');
-  if (total > 0 &&
-      !read_exact(is_, blob.data(), static_cast<std::streamsize>(total))) {
+  for (const std::uint32_t len : lengths) total += len;
+  // A frame ends before the footer begins, and each of its records codes
+  // at least one user-id byte; lengths that say otherwise are corrupt, and
+  // are refused before anything is allocated for them.
+  if (!header.ok() || records != entry.record_count ||
+      entry.offset + kFrameHeaderBytes + total > footer_offset_ ||
+      records > lengths[kColUserId]) {
     return false;
   }
-  const char* col[kColumnCount];
-  {
-    const char* p = blob.data();
-    for (std::size_t c = 0; c < kColumnCount; ++c) {
-      col[c] = p;
-      p += lengths[c];
-    }
-  }
-  auto int_cursor = [&](std::size_t c) { return IntCursor(col[c], lengths[c]); };
-  auto dbl_cursor = [&](std::size_t c) {
-    return DoubleCursor(col[c], lengths[c]);
-  };
-  IntCursor user_id = int_cursor(kColUserId), clip_id = int_cursor(kColClipId),
-            site = int_cursor(kColSite),
-            rtsp_retries = int_cursor(kColRtspRetries),
-            rebuffer_events = int_cursor(kColRebufferEvents),
-            frames_played = int_cursor(kColFramesPlayed),
-            frames_dropped = int_cursor(kColFramesDropped),
-            frames_cpu_scaled = int_cursor(kColFramesCpuScaled),
-            bytes_received = int_cursor(kColBytesReceived),
-            packets_received = int_cursor(kColPacketsReceived),
-            repairs_received = int_cursor(kColRepairsReceived),
-            sample_count = int_cursor(kColSampleCount);
-  Cursor enums(col[kColEnums], lengths[kColEnums]);
-  Cursor bools(col[kColBools], lengths[kColBools]);
-  Cursor symbols(col[kColSymbols], lengths[kColSymbols]);
-  DoubleCursor rating = dbl_cursor(kColRating),
-               encoded_bandwidth = dbl_cursor(kColEncodedBandwidth),
-               encoded_fps = dbl_cursor(kColEncodedFps),
-               measured_bandwidth = dbl_cursor(kColMeasuredBandwidth),
-               measured_fps = dbl_cursor(kColMeasuredFps),
-               jitter_ms = dbl_cursor(kColJitterMs),
-               rebuffer_seconds = dbl_cursor(kColRebufferSeconds),
-               preroll_seconds = dbl_cursor(kColPrerollSeconds),
-               play_seconds = dbl_cursor(kColPlaySeconds),
-               cpu_utilization = dbl_cursor(kColCpuUtilization),
-               sample_t = dbl_cursor(kColSampleT),
-               sample_bw = dbl_cursor(kColSampleBandwidth),
-               sample_fps = dbl_cursor(kColSampleFps);
-
-  auto symbol = [&](util::Symbol& out_sym) {
-    std::uint64_t local = 0;
-    if (!symbols.varint(local) || local >= strings_.size()) return false;
-    out_sym = util::Symbol(strings_[static_cast<std::size_t>(local)]);
-    return true;
-  };
-
-  out.reserve(record_count);
-  for (std::uint32_t i = 0; i < record_count; ++i) {
-    tracer::TraceRecord rec;
-    auto& st = rec.stats;
-    std::int64_t v = 0;
-    if (!user_id.next(v)) return false;
-    rec.user_id = static_cast<int>(v);
-    if (!clip_id.next(v)) return false;
-    rec.clip_id = static_cast<std::uint32_t>(v);
-    if (!site.next(v)) return false;
-    rec.site = static_cast<std::size_t>(v);
-    if (!rtsp_retries.next(v)) return false;
-    st.rtsp_retries = static_cast<std::int32_t>(v);
-    if (!rebuffer_events.next(v)) return false;
-    st.rebuffer_events = static_cast<std::int32_t>(v);
-    if (!frames_played.next(st.frames_played)) return false;
-    if (!frames_dropped.next(st.frames_dropped)) return false;
-    if (!frames_cpu_scaled.next(st.frames_cpu_scaled)) return false;
-    if (!bytes_received.next(st.bytes_received)) return false;
-    if (!packets_received.next(st.packets_received)) return false;
-    if (!repairs_received.next(st.repairs_received)) return false;
-    std::int64_t n_samples = 0;
-    if (!sample_count.next(n_samples) || n_samples < 0) return false;
-    std::uint8_t e = 0;
-    if (!enums.u8(e)) return false;
-    rec.user_group = static_cast<world::UserRegionGroup>(e);
-    if (!enums.u8(e)) return false;
-    rec.connection = static_cast<world::ConnectionClass>(e);
-    if (!enums.u8(e)) return false;
-    rec.server_group = static_cast<world::ServerRegionGroup>(e);
-    if (!enums.u8(e)) return false;
-    st.protocol = static_cast<net::Protocol>(e);
-    bool b = false;
-    if (!bools.bit(b)) return false;
-    rec.rtsp_blocked_user = b;
-    if (!bools.bit(b)) return false;
-    rec.available = b;
-    if (!bools.bit(b)) return false;
-    st.session_established = b;
-    if (!bools.bit(b)) return false;
-    st.played_any_frame = b;
-    if (!bools.bit(b)) return false;
-    st.fell_back_to_tcp = b;
-    if (!bools.bit(b)) return false;
-    st.fell_back_to_http = b;
-    if (!symbol(rec.country) || !symbol(rec.us_state) ||
-        !symbol(rec.pc_class) || !symbol(rec.server_name) ||
-        !symbol(rec.server_country)) {
+  const std::string_view blob =
+      read_at(is_, entry.offset + kFrameHeaderBytes,
+              static_cast<std::size_t>(total), buf);
+  if (blob.size() != total) return false;
+  FrameReader f(strings_);
+  f.open(blob, lengths);
+  out.resize(entry.record_count);
+  for (auto& rec : out) {
+    columns(f, rec);
+    if (!f.ok()) {
+      out.clear();
       return false;
     }
-    if (!rating.next(rec.rating)) return false;
-    if (!encoded_bandwidth.next(st.encoded_bandwidth)) return false;
-    if (!encoded_fps.next(st.encoded_fps)) return false;
-    if (!measured_bandwidth.next(st.measured_bandwidth)) return false;
-    if (!measured_fps.next(st.measured_fps)) return false;
-    if (!jitter_ms.next(st.jitter_ms)) return false;
-    if (!rebuffer_seconds.next(st.rebuffer_seconds)) return false;
-    if (!preroll_seconds.next(st.preroll_seconds)) return false;
-    if (!play_seconds.next(st.play_seconds)) return false;
-    if (!cpu_utilization.next(st.cpu_utilization)) return false;
-    st.samples.resize(static_cast<std::size_t>(n_samples));
-    for (auto& s : st.samples) {
-      if (!sample_t.next(s.t_seconds) || !sample_bw.next(s.bandwidth) ||
-          !sample_fps.next(s.frame_rate)) {
-        return false;
-      }
-    }
-    out.push_back(std::move(rec));
   }
   return true;
 }

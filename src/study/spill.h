@@ -33,6 +33,13 @@ namespace rv::study {
 // encoded columns) and is the unit of seek granularity.
 constexpr std::size_t kSpillFrameRecords = 4096;
 
+// One frame-index entry: where a frame starts and which records it holds.
+struct SpillFrame {
+  std::uint64_t offset = 0;
+  std::uint64_t first_record = 0;
+  std::uint32_t record_count = 0;
+};
+
 class SpillWriter {
  public:
   // Creates/truncates `path`. ok() reports whether the stream is healthy;
@@ -57,7 +64,6 @@ class SpillWriter {
 
  private:
   void flush_frame();
-  std::uint32_t local_id(util::Symbol s);
 
   std::ofstream os_;
   bool ok_ = false;
@@ -68,12 +74,7 @@ class SpillWriter {
   // File-local string table in first-appearance order.
   std::unordered_map<std::uint32_t, std::uint32_t> symbol_to_local_;
   std::vector<std::string> strings_;
-  struct FrameEntry {
-    std::uint64_t offset = 0;
-    std::uint64_t first_record = 0;
-    std::uint32_t record_count = 0;
-  };
-  std::vector<FrameEntry> index_;
+  std::vector<SpillFrame> index_;
 };
 
 class SpillReader {
@@ -104,13 +105,9 @@ class SpillReader {
   bool ok_ = false;
   std::string error_;
   std::uint64_t records_ = 0;
+  std::uint64_t footer_offset_ = 0;
   std::vector<std::string> strings_;
-  struct FrameEntry {
-    std::uint64_t offset = 0;
-    std::uint64_t first_record = 0;
-    std::uint32_t record_count = 0;
-  };
-  std::vector<FrameEntry> index_;
+  std::vector<SpillFrame> index_;
 };
 
 // Streams every record of `inputs` (in order) into a fresh spill at

@@ -100,7 +100,7 @@ void Md5::update(const void* data, std::size_t len) {
   }
 }
 
-std::string Md5::hex_digest() {
+std::array<std::uint8_t, 16> Md5::digest() {
   const std::uint64_t bit_len = total_bytes_ * 8;
   const std::uint8_t pad_byte = 0x80;
   update(&pad_byte, 1);
@@ -112,15 +112,20 @@ std::string Md5::hex_digest() {
   }
   update(len_bytes, 8);
 
+  std::array<std::uint8_t, 16> out;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(state_[i / 4] >> (8 * (i % 4)));
+  }
+  return out;
+}
+
+std::string Md5::hex_digest() {
   static const char* hex = "0123456789abcdef";
   std::string out;
   out.reserve(32);
-  for (const std::uint32_t word : state_) {
-    for (int byte = 0; byte < 4; ++byte) {
-      const std::uint8_t v = static_cast<std::uint8_t>(word >> (8 * byte));
-      out.push_back(hex[v >> 4]);
-      out.push_back(hex[v & 15]);
-    }
+  for (const std::uint8_t v : digest()) {
+    out.push_back(hex[v >> 4]);
+    out.push_back(hex[v & 15]);
   }
   return out;
 }

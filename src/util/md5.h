@@ -6,6 +6,7 @@
 // MD5, not a homegrown hash. Not for security — for fingerprinting only.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -20,8 +21,10 @@ class Md5 {
   void update(const void* data, std::size_t len);
   void update(std::string_view s) { update(s.data(), s.size()); }
 
-  // Finalizes and returns the 32-char lowercase hex digest. The object is
-  // consumed: further updates are invalid.
+  // Finalizes and returns the 16 digest bytes. The object is consumed:
+  // further updates are invalid.
+  std::array<std::uint8_t, 16> digest();
+  // Finalizes and returns the digest as 32 lowercase hex chars.
   std::string hex_digest();
 
  private:

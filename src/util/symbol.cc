@@ -65,10 +65,6 @@ class SymbolPool {
     return slab[id & (kChunkSize - 1)];
   }
 
-  std::uint32_t size() const {
-    return count_.load(std::memory_order_acquire);
-  }
-
  private:
   SymbolPool() {
     const std::uint32_t empty = intern(std::string_view());
@@ -88,16 +84,6 @@ Symbol::Symbol(std::string_view s) : id_(SymbolPool::instance().intern(s)) {}
 const std::string& Symbol::str() const {
   return SymbolPool::instance().str(id_);
 }
-
-Symbol Symbol::from_id(std::uint32_t id) {
-  RV_CHECK_LT(id, SymbolPool::instance().size())
-      << "symbol id not interned in this process";
-  Symbol s;
-  s.id_ = id;
-  return s;
-}
-
-std::uint32_t Symbol::pool_size() { return SymbolPool::instance().size(); }
 
 std::ostream& operator<<(std::ostream& os, Symbol s) { return os << s.str(); }
 

@@ -48,12 +48,6 @@ class Symbol {
   // Lexicographic, for ordered map keys.
   friend bool operator<(Symbol a, Symbol b) { return a.str() < b.str(); }
 
-  // Rebuilds a Symbol from a pooled id (spill readers). Checks the id is
-  // live in this process's pool.
-  static Symbol from_id(std::uint32_t id);
-  // Number of distinct strings interned so far (== smallest unused id).
-  static std::uint32_t pool_size();
-
  private:
   std::uint32_t id_ = 0;
 };

@@ -205,9 +205,14 @@ TEST(Campaign, SerializationRoundTripsAndRejectsCorruption) {
   CampaignRollup out;
   EXPECT_FALSE(CampaignRollup::parse("", &out, &error));
   EXPECT_FALSE(CampaignRollup::parse("RVRUgarbage", &out, &error));
-  EXPECT_FALSE(
-      CampaignRollup::parse(bytes.substr(0, bytes.size() / 2), &out, &error));
   EXPECT_FALSE(error.empty());
+  // A well-formed file whose fps histogram has another geometry ([0, 61)
+  // instead of [0, 60)): merge() could not combine it, so parse refuses it.
+  // h_fps.hi follows magic, version, 19 u64 counters, 7 i64 sums and lo.
+  std::string regridded = bytes;
+  const double hi = 61.0;
+  regridded.replace(8 + 26 * 8 + 8, 8, reinterpret_cast<const char*>(&hi), 8);
+  EXPECT_FALSE(CampaignRollup::parse(regridded, &out, &error));
 
   // save/load round-trip through a file.
   const std::string path = temp_path("rollup.bin");
@@ -216,6 +221,33 @@ TEST(Campaign, SerializationRoundTripsAndRejectsCorruption) {
   ASSERT_TRUE(CampaignRollup::load(path, &loaded, &error)) << error;
   EXPECT_EQ(loaded.serialize(), bytes);
   EXPECT_FALSE(CampaignRollup::load(temp_path("missing.bin"), &loaded, &error));
+}
+
+TEST(Campaign, EverySingleByteFlipOfASavedRollupFailsLoad) {
+  CampaignRollup rollup;
+  rollup.user_count = 63;
+  for (std::uint64_t i = 0; i < 50; ++i) rollup.fold(synthetic_record(i));
+  const std::string path = temp_path("flip_rollup.bin");
+  ASSERT_TRUE(rollup.save(path));
+  const std::string bytes = read_file(path);
+  // The file is the serialized rollup followed by its 16-byte md5.
+  ASSERT_EQ(bytes.size(), rollup.serialize().size() + 16);
+
+  const std::string flipped_path = temp_path("flipped_rollup.bin");
+  CampaignRollup loaded;
+  std::string error;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    {
+      std::ofstream os(flipped_path, std::ios::binary | std::ios::trunc);
+      os.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    }
+    EXPECT_FALSE(CampaignRollup::load(flipped_path, &loaded, &error))
+        << "byte " << at << " of " << bytes.size();
+  }
+  ASSERT_TRUE(CampaignRollup::load(path, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.serialize(), rollup.serialize());
 }
 
 TEST(Campaign, RunCampaignValidatesConfig) {

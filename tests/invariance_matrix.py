@@ -36,7 +36,9 @@ import urllib.error
 import urllib.request
 
 STUDY_MD5 = "683e9868183d9ca69651db48f8dfc9b7"
-CAMPAIGN_MD5 = {"rollup.bin": "80c7e8f04a01f39b08e7070eeb1e4acb",
+# rollup.bin is the serialized rollup (md5 80c7e8f04a01f39b08e7070eeb1e4acb)
+# followed by those 16 digest bytes.
+CAMPAIGN_MD5 = {"rollup.bin": "c90233de49bf43134ce755c70c6781c5",
                 "records.spill": "959cf83043c928e882452893b5bdd7c8"}
 
 STUDY_CMD = ["summary", "--seed", "2001", "--scale", "0.02"]

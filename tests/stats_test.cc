@@ -114,21 +114,6 @@ TEST_P(CdfPropertyTest, MonotoneAndBounded) {
 INSTANTIATE_TEST_SUITE_P(RandomDatasets, CdfPropertyTest,
                          ::testing::Range(0, 20));
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
 TEST(CountTable, CountsAndSorts) {
   CountTable t;
   t.add("US", 3);

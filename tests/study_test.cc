@@ -170,6 +170,30 @@ TEST(Study, CacheRejectsGarbageFile) {
   std::remove(path.c_str());
 }
 
+TEST(Study, CacheRejectsInvalidBoolByte) {
+  // One record with empty strings, so its `available` flag sits at a fixed
+  // offset: 16 header bytes, two u32 counts, then user_id, three string
+  // lengths, two enums, rtsp_blocked_user, clip_id, site, two string
+  // lengths and server_group.
+  StudyResult result;
+  result.records.resize(1);
+  const std::size_t kAvailable = 16 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 1 + 4 +
+                                 8 + 4 + 4 + 4;
+  const StudyConfig config = small_config();
+  const std::string path = ::testing::TempDir() + "/rv_cache_bool.bin";
+  ASSERT_TRUE(save_result(path, config, result));
+  ASSERT_TRUE(load_result(path, config).has_value());
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(static_cast<std::streamoff>(kAvailable));
+    ASSERT_EQ(f.get(), 1);  // available = true
+    f.seekp(static_cast<std::streamoff>(kAvailable));
+    f.put(2);
+  }
+  EXPECT_FALSE(load_result(path, config).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(Study, FingerprintSensitiveToKnobs) {
   const StudyConfig base = small_config();
   StudyConfig seed = base;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/arena.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/md5.h"
@@ -584,6 +585,103 @@ TEST(Md5, FileDigestMatchesInMemory) {
   }
   EXPECT_EQ(util::md5_file_hex(path), util::md5_hex(content));
   EXPECT_EQ(util::md5_file_hex(path + ".does-not-exist"), "");
+}
+
+TEST(Bytes, PrimitivesRoundTripLittleEndian) {
+  util::ByteWriter w;
+  w.fixed(std::uint32_t{0x01020304});
+  w.fixed(std::int64_t{-2});
+  w.fixed(true);
+  w.fixed(1.5);
+  w.str("hi");
+  w.varint(300);
+  for (const bool b : {true, false, true}) w.bit(b);
+  const std::string bytes = w.take();
+  EXPECT_EQ(bytes.substr(0, 4), std::string("\x04\x03\x02\x01", 4));
+  ASSERT_EQ(bytes.size(), 4u + 8 + 1 + 8 + 4 + 2 + 2 + 1);
+
+  util::ByteReader r(bytes);
+  EXPECT_EQ(r.fixed<std::uint32_t>(), 0x01020304u);
+  EXPECT_EQ(r.fixed<std::int64_t>(), -2);
+  EXPECT_TRUE(r.fixed<bool>());
+  EXPECT_EQ(r.fixed<double>(), 1.5);
+  std::string s;
+  r.str(s);
+  EXPECT_EQ(s, "hi");
+  EXPECT_EQ(r.varint(), 300u);
+  EXPECT_TRUE(r.bit());
+  EXPECT_FALSE(r.bit());
+  EXPECT_TRUE(r.bit());
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Bytes, FailureIsStickyAndReadsYieldZero) {
+  const std::string bytes("\x07\x00\x00\x00\x09", 5);
+  util::ByteReader r(bytes);
+  EXPECT_EQ(r.fixed<std::uint32_t>(), 7u);
+  EXPECT_EQ(r.fixed<std::uint32_t>(), 0u);  // one byte left: fails
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.pos(), 4u);
+  EXPECT_EQ(r.fixed<std::uint8_t>(), 0u);  // the 9 is never read
+  EXPECT_EQ(r.pos(), 4u);
+  EXPECT_FALSE(r.at_end());
+}
+
+TEST(Bytes, RejectsStringsLongerThanTheRestAndNonBinaryBools) {
+  util::ByteWriter w;
+  w.fixed(std::uint32_t{5});
+  w.fixed(std::uint32_t{0});
+  util::ByteReader long_str(w.bytes());
+  std::string s;
+  long_str.str(s);
+  EXPECT_FALSE(long_str.ok());
+
+  for (const char byte : {'\0', '\1', '\2', '\xff'}) {
+    util::ByteReader r(std::string_view(&byte, 1));
+    const bool b = r.fixed<bool>();
+    EXPECT_EQ(r.ok(), byte == 0 || byte == 1) << int{byte};
+    EXPECT_EQ(b, byte == 1);
+  }
+}
+
+TEST(Bytes, RejectsOverlongAndUnterminatedVarints) {
+  const std::string overlong(11, '\x80');
+  util::ByteReader r(overlong);
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.pos(), 0u);
+
+  const std::string continued("\xff\xff", 2);
+  util::ByteReader unterminated(continued);
+  unterminated.varint();
+  EXPECT_FALSE(unterminated.ok());
+}
+
+TEST(Bytes, SequenceCountsAreBoundedByMaxAndRemainingBytes) {
+  util::ByteWriter w;
+  w.seq(std::vector<std::uint16_t>{1, 2, 3}, 8,
+        [&w](std::uint16_t v) { w.fixed(v); });
+  const std::string bytes = w.take();
+  std::vector<std::uint16_t> got;
+  const auto each = [](util::ByteReader& r) {
+    return [&r](std::uint16_t& v) { r.fixed(v); };
+  };
+  util::ByteReader ok(bytes);
+  ok.seq(got, 8, each(ok));
+  EXPECT_TRUE(ok.at_end());
+  EXPECT_EQ(got, (std::vector<std::uint16_t>{1, 2, 3}));
+
+  util::ByteReader over_max(bytes);
+  over_max.seq(got, 2, each(over_max));
+  EXPECT_FALSE(over_max.ok());
+  EXPECT_TRUE(got.empty());
+
+  // A count of 2^31 with six bytes behind it never allocates.
+  std::string huge = bytes;
+  huge[3] = '\x80';
+  util::ByteReader over_rest(huge);
+  over_rest.seq(got, UINT32_MAX, each(over_rest));
+  EXPECT_FALSE(over_rest.ok());
 }
 
 }  // namespace
