@@ -1,6 +1,7 @@
 // Node/port addressing shared by the network and transport layers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace rv::net {
@@ -14,6 +15,7 @@ using Port = std::uint16_t;
 inline constexpr Port kRtspPort = 554;
 
 enum class Protocol : std::uint8_t { kTcp, kUdp };
+constexpr std::size_t enum_count(Protocol) { return 2; }  // byte codec bound
 
 constexpr const char* protocol_name(Protocol p) {
   return p == Protocol::kTcp ? "TCP" : "UDP";

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "stats/correlation.h"
@@ -12,6 +14,7 @@
 #include "tracer/real_tracer.h"
 #include "util/strings.h"
 #include "world/servers.h"
+#include "world/users.h"
 
 namespace rv::study {
 namespace {
@@ -163,6 +166,41 @@ std::string fig01_buffering(const StudyConfig& config) {
   os << stats::render_comparison("paper vs measured", rows);
   return os.str();
 }
+
+std::string fig03_geography() {
+  std::ostringstream os;
+  os << "Figure 3: RealServer sites (11 servers, 8 countries)\n";
+  std::map<std::string, std::vector<std::string>> by_region;
+  std::set<std::string> server_countries;
+  for (const auto& site : world::server_sites()) {
+    by_region[std::string(world::region_name(site.region))].push_back(
+        site.name);
+    server_countries.insert(site.country);
+  }
+  for (const auto& [region, names] : by_region) {
+    os << "  " << region << ":";
+    for (const auto& n : names) os << " " << n;
+    os << "\n";
+  }
+
+  os << "\nFigure 4: participating users by country (12 countries)\n";
+  const auto users = world::generate_population({});
+  std::map<std::string, int> by_country;
+  for (const auto& u : users) ++by_country[u.country];
+  for (const auto& [country, n] : by_country) {
+    os << "  " << country << ": " << n << " user" << (n > 1 ? "s" : "")
+       << "\n";
+  }
+  const std::vector<ComparisonRow> rows = {
+      {"server countries", "8", std::to_string(server_countries.size())},
+      {"user countries", "12", std::to_string(by_country.size())},
+      {"users", "63", std::to_string(users.size())},
+  };
+  os << "\n" << stats::render_comparison("paper vs measured", rows);
+  return os.str();
+}
+
+namespace {
 
 std::string fig05_clips_per_user(const StudyResult& result) {
   const auto values = plays_per_user(result.accesses());
@@ -705,6 +743,35 @@ std::string fig28_quality_vs_bandwidth(const StudyResult& result) {
   os << stats::render_comparison("paper vs measured", rows);
   return os.str();
 }
+
+}  // namespace
+
+const Figure kFigures[24] = {
+    {5, &fig05_clips_per_user},
+    {6, &fig06_rated_per_user},
+    {7, &fig07_user_countries},
+    {8, &fig08_server_countries},
+    {9, &fig09_us_states},
+    {10, &fig10_availability},
+    {11, &fig11_framerate_all},
+    {12, &fig12_framerate_by_net},
+    {13, &fig13_bandwidth_by_net},
+    {14, &fig14_framerate_by_server_region},
+    {15, &fig15_framerate_by_user_region},
+    {16, &fig16_protocol_mix},
+    {17, &fig17_framerate_by_protocol},
+    {18, &fig18_bandwidth_by_protocol},
+    {19, &fig19_framerate_by_pc},
+    {20, &fig20_jitter_all},
+    {21, &fig21_jitter_by_net},
+    {22, &fig22_jitter_by_server_region},
+    {23, &fig23_jitter_by_user_region},
+    {24, &fig24_jitter_by_protocol},
+    {25, &fig25_jitter_by_bandwidth},
+    {26, &fig26_quality_all},
+    {27, &fig27_quality_by_net},
+    {28, &fig28_quality_vs_bandwidth},
+};
 
 std::string study_summary(const StudyResult& result) {
   const auto accesses = result.accesses();

@@ -162,7 +162,7 @@ class FrameReader {
   }
   template <typename E>
   void byte(Column c, E& e) {
-    e = static_cast<E>(cols_[c].fixed<std::uint8_t>());
+    cols_[c].enum_as<std::uint8_t>(e);
   }
   void bit(Column c, bool& b) { b = cols_[c].bit(); }
   void symbol(Column c, util::Symbol& s) {

@@ -97,7 +97,8 @@ void RealTracer::access_plan_add(const world::UserProfile& user,
 TraceRecord RealTracer::run_session(
     PlayContext& ctx, const world::UserProfile& user,
     std::size_t playlist_index, std::uint64_t play_seed, bool force_tcp,
-    const faults::PlayFaults* play_faults, bool observe) const {
+    const faults::PlayFaults* play_faults, bool observe,
+    net::Network::DeliveryTap tap) const {
   TraceRecord rec = base_record(user, catalog_, playlist_index);
   // Install the context's sink for the whole session so every hook below
   // (path, server, client, faults) records into this play. Purely
@@ -121,6 +122,9 @@ TraceRecord RealTracer::run_session(
       world::access_spec_for(user.connection, rng);
   builder.build_into(ctx.path, sim, user, access, site, rng);
   world::PlayPath& path = ctx.path;
+  // Before the cross traffic starts: its sources skip the delivery of a
+  // packet only a sinkless router would see unless a tap is installed.
+  if (tap) path.network->set_delivery_tap(std::move(tap));
   path.start_cross_traffic();
 
   // Every metadata block from the previous play died in the resets above
@@ -240,7 +244,8 @@ TraceRecord RealTracer::run_single(const world::UserProfile& user,
                                    std::size_t playlist_index,
                                    std::uint64_t play_seed,
                                    bool force_tcp,
-                                   const faults::PlayFaults* play_faults) const {
+                                   const faults::PlayFaults* play_faults,
+                                   net::Network::DeliveryTap tap) const {
   PlayContext ctx;
   // Standalone plays have no per-user play index; the playlist index
   // doubles as the --trace-play match key.
@@ -248,7 +253,7 @@ TraceRecord RealTracer::run_single(const world::UserProfile& user,
       static_cast<std::uint32_t>(user.id),
       static_cast<std::uint32_t>(playlist_index));
   return run_session(ctx, user, playlist_index, play_seed, force_tcp,
-                     play_faults, observe);
+                     play_faults, observe, std::move(tap));
 }
 
 void RealTracer::plan_user(const world::UserProfile& user,

@@ -127,13 +127,16 @@ class RealTracer {
   void access_plan_begin();
   void access_plan_add(const world::UserProfile& user, bool keep_base);
 
-  // Runs a single play and returns its record (used by Fig 1 and the
-  // ablation benches). `udp_blocked`/`force_tcp` override the user profile;
-  // `play_faults` (optional) injects this play's faults.
+  // Runs a single play and returns its record (used by Fig 1, retracer,
+  // rtspdump and the ablation benches). `force_tcp` overrides the user
+  // profile; `play_faults` (optional) injects this play's faults; `tap`
+  // (optional) watches the play's network from its first packet on and
+  // leaves the record as it would be without it.
   TraceRecord run_single(const world::UserProfile& user,
                          std::size_t playlist_index, std::uint64_t play_seed,
                          bool force_tcp = false,
-                         const faults::PlayFaults* play_faults = nullptr) const;
+                         const faults::PlayFaults* play_faults = nullptr,
+                         net::Network::DeliveryTap tap = nullptr) const;
 
   // The per-site outage schedules (empty unless mechanistic unavailability
   // is enabled). Exposed for calibration tests and benches.
@@ -143,12 +146,13 @@ class RealTracer {
   // The streaming-session core shared by run_single and run_play: resets
   // `ctx`, rebuilds the path in place, and simulates one play.
   // `observe` installs ctx.sink for the play and snapshots it into the
-  // record's obs member.
+  // record's obs member; a non-empty `tap` watches the rebuilt network.
   TraceRecord run_session(PlayContext& ctx, const world::UserProfile& user,
                           std::size_t playlist_index, std::uint64_t play_seed,
                           bool force_tcp,
                           const faults::PlayFaults* play_faults,
-                          bool observe) const;
+                          bool observe,
+                          net::Network::DeliveryTap tap = nullptr) const;
 
   const media::Catalog& catalog_;
   const world::RegionGraph& graph_;

@@ -9,12 +9,14 @@
 // from decoded parts) the field list branches on `IO::kReads`.
 //
 // Reader failure is sticky: the first short read, string longer than the
-// bytes that remain, bool byte other than 0/1, count over its bound, or
-// explicit fail() clears ok() for good; later reads yield zero and do not
-// move the cursor, so a field list checks ok() once, at the end.
+// bytes that remain, bool byte other than 0/1, enum value past its count,
+// count over its bound, or explicit fail() clears ok() for good; later
+// reads yield zero and do not move the cursor, so a field list checks ok()
+// once, at the end.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -146,6 +148,8 @@ class ByteReader {
       const auto b = fixed<std::uint8_t>();
       if (b > 1) fail();
       v = b == 1;
+    } else if constexpr (std::is_enum_v<T>) {
+      enum_as<std::make_unsigned_t<std::underlying_type_t<T>>>(v);
     } else {
       v = T{};
       if (take(sizeof(T))) std::memcpy(&v, p_ - sizeof(T), sizeof(T));
@@ -160,6 +164,16 @@ class ByteReader {
   template <FixedWidth T>
   void expect(const T& want) {
     if (fixed<T>() != want) fail();
+  }
+  // An enum coded as the unsigned wire integer W. `enum_count(E{})`,
+  // declared beside the enum, is one past its last value; a value at or
+  // past it fails the read.
+  template <std::unsigned_integral W, typename E>
+    requires requires(E e) { enum_count(e); }
+  void enum_as(E& e) {
+    const W w = fixed<W>();
+    if (w >= enum_count(E{})) fail();
+    e = ok_ ? static_cast<E>(w) : E{};
   }
   void str(std::string& s) { s.assign(view(fixed<std::uint32_t>())); }
   void sym(Symbol& s) {

@@ -1,6 +1,7 @@
 // Core world-model vocabulary: regions, connection classes, countries.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -21,21 +22,27 @@ enum class Region {
   kMiddleEast,
 };
 inline constexpr int kRegionCount = 8;
+// Each coded enum's count sits beside it: the byte codec's readers reject
+// a value at or past it (util::ByteReader::enum_as).
+constexpr std::size_t enum_count(Region) { return kRegionCount; }
 
 std::string_view region_name(Region r);
 
 // The paper's server-side grouping (Fig 14): Asia, Brazil, US/Canada,
 // Australia, Europe.
 enum class ServerRegionGroup { kAsia, kBrazil, kUsCanada, kAustralia, kEurope };
+constexpr std::size_t enum_count(ServerRegionGroup) { return 5; }
 std::string_view server_region_group_name(ServerRegionGroup g);
 
 // The paper's user-side grouping (Fig 15): Australia/NZ, US/Canada, Asia,
 // Europe.
 enum class UserRegionGroup { kAustraliaNz, kUsCanada, kAsia, kEurope };
+constexpr std::size_t enum_count(UserRegionGroup) { return 4; }
 std::string_view user_region_group_name(UserRegionGroup g);
 
 // End-host network configurations (Figs 12/13/21/27).
 enum class ConnectionClass { kModem56k, kDslCable, kT1Lan };
+constexpr std::size_t enum_count(ConnectionClass) { return 3; }
 std::string_view connection_class_name(ConnectionClass c);
 
 struct AccessSpec {

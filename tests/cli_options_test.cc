@@ -114,5 +114,56 @@ TEST(CliOptions, GoodFlagsSetTheExpectedConfig) {
             std::vector<std::string>{"--watch: unknown flag"});
 }
 
+// The single-play names: each accepted name lands in its field, and any
+// other name (an empty one included) is refused with the flag and the
+// accepted names in the message.
+TEST(CliOptions, SinglePlayNamesAreOneStrictTable) {
+  const auto single = [](std::vector<std::string> argv, SinglePlay* play,
+                         std::string* err) {
+    argv.insert(argv.begin(), "tool");
+    std::vector<const char*> raw;
+    for (const auto& a : argv) raw.push_back(a.c_str());
+    const util::Args args(static_cast<int>(raw.size()), raw.data());
+    std::ostringstream os;
+    const bool ok = parse_single_play(args, play, os);
+    *err = os.str();
+    return ok;
+  };
+  SinglePlay play;
+  std::string err;
+  ASSERT_TRUE(single({}, &play, &err)) << err;
+  EXPECT_EQ(play.user.connection, world::ConnectionClass::kDslCable);
+  EXPECT_EQ(play.user.region, world::Region::kUsEast);
+  EXPECT_FALSE(play.force_tcp);
+  EXPECT_EQ(play.seed, 2001u);
+  EXPECT_EQ(play.user.seed, 2001u);
+
+  ASSERT_TRUE(single({"--connection", "modem", "--region", "australia",
+                      "--protocol", "tcp", "--seed", "7", "--clip", "3"},
+                     &play, &err))
+      << err;
+  EXPECT_EQ(play.user.connection, world::ConnectionClass::kModem56k);
+  EXPECT_EQ(play.user.region, world::Region::kAustralia);
+  EXPECT_TRUE(play.force_tcp);
+  EXPECT_EQ(play.user.seed, 7u);
+  EXPECT_EQ(play.clip, 3);
+  ASSERT_TRUE(single({"--connection", "lan"}, &play, &err)) << err;
+  EXPECT_EQ(play.user.connection, world::ConnectionClass::kT1Lan);
+
+  const struct {
+    std::vector<std::string> argv;
+    std::string want;
+  } bad[] = {
+      {{"--connection", "cable"}, "--connection expects one of modem|dsl|"},
+      {{"--connection"}, "--connection expects one of"},
+      {{"--region", "mars"}, "--region expects one of us-east|"},
+      {{"--protocol", "udp"}, "--protocol expects one of auto|tcp"},
+  };
+  for (const auto& c : bad) {
+    EXPECT_FALSE(single(c.argv, &play, &err)) << c.argv[0];
+    EXPECT_NE(err.find(c.want), std::string::npos) << err;
+  }
+}
+
 }  // namespace
 }  // namespace rv::tools

@@ -1,7 +1,9 @@
 // One table over the three on-disk formats: the study cache (RVST), the
 // columnar spill (RVSP) and the shard rollup (RVRU). For each, a small
 // synthetic document must decode and re-encode to identical bytes, and
-// every strict prefix of it must be rejected.
+// every strict prefix of it must be rejected. A second table sets each
+// coded enum past its last value; the cache and spill readers must reject
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,6 +110,20 @@ StudyResult synthetic_study() {
   return result;
 }
 
+std::string encode_cache(const StudyResult& study) {
+  const std::string path = temp_path("cache.bin");
+  EXPECT_TRUE(save_result(path, StudyConfig{}, study));
+  return read_file(path);
+}
+
+std::string encode_spill(const std::vector<tracer::TraceRecord>& records) {
+  const std::string path = temp_path("records.spill");
+  SpillWriter writer(path);
+  for (const auto& rec : records) writer.append(rec);
+  EXPECT_TRUE(writer.finish());
+  return read_file(path);
+}
+
 CampaignRollup synthetic_rollup() {
   CampaignRollup rollup;
   rollup.user_first = 63;
@@ -128,12 +144,7 @@ struct Format {
 std::vector<Format> formats() {
   static const StudyConfig config;
   return {
-      {"study cache",
-       [] {
-         const std::string path = temp_path("cache.bin");
-         EXPECT_TRUE(save_result(path, config, synthetic_study()));
-         return read_file(path);
-       },
+      {"study cache", [] { return encode_cache(synthetic_study()); },
        [](const std::string& doc, std::string* recoded) {
          const std::string in = temp_path("cache_in.bin");
          const std::string out = temp_path("cache_out.bin");
@@ -143,14 +154,7 @@ std::vector<Format> formats() {
          *recoded = read_file(out);
          return true;
        }},
-      {"spill",
-       [] {
-         const std::string path = temp_path("records.spill");
-         SpillWriter writer(path);
-         for (const auto& rec : synthetic_records(40)) writer.append(rec);
-         EXPECT_TRUE(writer.finish());
-         return read_file(path);
-       },
+      {"spill", [] { return encode_spill(synthetic_records(40)); },
        [](const std::string& doc, std::string* recoded) {
          const std::string in = temp_path("in.spill");
          const std::string out = temp_path("out.spill");
@@ -212,6 +216,66 @@ TEST(Codec, GarbageIsRejected) {
     SCOPED_TRACE(format.name);
     std::string recoded;
     EXPECT_FALSE(format.recode(garbage, &recoded));
+  }
+}
+
+// The first value past E's last one.
+template <typename E>
+E past_end() {
+  return static_cast<E>(enum_count(E{}));
+}
+
+// Every enum field a format codes; the spill codes the record's only.
+struct EnumField {
+  const char* name;
+  bool in_spill;
+  std::function<void(StudyResult&)> set_out_of_range;
+};
+
+std::vector<EnumField> enum_fields() {
+  return {
+      {"user region", false,
+       [](StudyResult& s) { s.users[1].region = past_end<world::Region>(); }},
+      {"user group", false,
+       [](StudyResult& s) {
+         s.users[1].group = past_end<world::UserRegionGroup>();
+       }},
+      {"user connection", false,
+       [](StudyResult& s) {
+         s.users[1].connection = past_end<world::ConnectionClass>();
+       }},
+      {"record user group", true,
+       [](StudyResult& s) {
+         s.records[5].user_group = past_end<world::UserRegionGroup>();
+       }},
+      {"record connection", true,
+       [](StudyResult& s) {
+         s.records[5].connection = past_end<world::ConnectionClass>();
+       }},
+      {"record server group", true,
+       [](StudyResult& s) {
+         s.records[5].server_group = past_end<world::ServerRegionGroup>();
+       }},
+      {"record protocol", true,
+       [](StudyResult& s) {
+         s.records[5].stats.protocol = past_end<net::Protocol>();
+       }},
+  };
+}
+
+TEST(Codec, OutOfRangeEnumsAreRejected) {
+  const std::vector<Format> all = formats();
+  const Format& cache = all[0];
+  const Format& spill = all[1];
+  for (const EnumField& field : enum_fields()) {
+    SCOPED_TRACE(field.name);
+    StudyResult study = synthetic_study();
+    field.set_out_of_range(study);
+    std::string recoded;
+    EXPECT_FALSE(cache.recode(encode_cache(study), &recoded));
+    if (field.in_spill) {
+      EXPECT_FALSE(spill.recode(encode_spill(study.records), &recoded));
+    }
   }
 }
 

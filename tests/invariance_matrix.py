@@ -16,9 +16,11 @@ the output under every flag at once still fails. Three tables:
             by rvmerge; rollup.bin and records.spill must equal CAMPAIGN_MD5.
 
 Post-checks inspect what a row's flags write (Chrome trace, series CSV,
-summary report, cache placement, the live status endpoints). The rvmerge
-gap and dead-shard checks and the quick congestion-control ordering check
-run beside the tables. Rows run a few at a time, each under a time limit.
+summary report, cache placement, the live status endpoints), print every
+figure from the cached study, and feed retracer a spill with out-of-range
+enum bytes. The rvmerge gap and dead-shard checks, the quick
+congestion-control ordering check and rtspdump's view of a TCP session run
+beside the tables. Rows run a few at a time, each under a time limit.
 """
 
 import concurrent.futures
@@ -27,6 +29,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -108,6 +111,18 @@ STRICT = [
     ("retracer", ["--clip", "3", "--conection", "modem"]),
     ("rtspdump", ["--clip", "3", "--packet"]),
     ("rtspdump", ["--seed", "x"]),
+    # Unknown names for the single-play flags.
+    ("retracer", ["--connection", "cable"]),
+    ("retracer", ["--region", "mars"]),
+    ("retracer", ["--protocol", "udp"]),
+    ("rtspdump", ["--connection", "cable"]),
+    ("rtspdump", ["--protocol", "xyz"]),
+    # A typo or a missing figure is refused before any study work, and the
+    # figures that need no study take no study-only flag.
+    ("realdata", ["sumary"]),
+    ("realdata", ["fig", "99"]),
+    ("realdata", ["fig"]),
+    ("realdata", ["fig", "1", "--trace", "t.json"]),
     ("rvmerge", ["a", "b", "--out", "m", "--reprot"]),
 ]
 
@@ -128,6 +143,14 @@ CAMPAIGN = [
     (1, ["--status-port", "0", "--status-hold-ms", "4000",
          "--heartbeat-dir", "hb"]),
 ]
+
+# Every figure `realdata fig N` prints; 1 and 3 need no study.
+FIGURES = [1, 3] + list(range(5, 29))
+# The kColEnums column of the RVSP spill: its index in the frame's column
+# table, and the count of each enum coded into it (user_group, connection,
+# server_group, protocol), one byte each per record.
+SPILL_ENUM_COLUMN = 12
+SPILL_ENUM_COUNTS = (4, 3, 5, 2)
 
 SERIES_HEADER = ("user_id,record_slot,clip_id,server,t_usec,buffer_sec,fps,"
                  "bandwidth_kbps,cwnd_bytes,retx_per_sec,pacing_kbps,"
@@ -215,6 +238,23 @@ class Matrix:
         if "--telemetry" in flags and "--profile" in flags:
             fails += ["%r missing from summary output" % m
                       for m in SUMMARY_MARKERS if m not in out]
+        if flags == CACHE:
+            fails += self.figures(cwd)
+        return fails
+
+    def figures(self, cwd):
+        """Every figure prints from the cached study; 1 and 3 need none."""
+        fails = []
+        for n in FIGURES:
+            argv = ["fig", str(n)] + STUDY_CMD[1:]
+            if n not in (1, 3):
+                argv += CACHE
+            rc, out, err = self.run("realdata", argv, cwd)
+            if rc != 0 or "paper vs measured" not in out:
+                fails.append("fig %d exited %s without a paper vs measured "
+                             "block: %s" % (n, rc, err.strip()[-300:]))
+        if os.path.exists(os.path.join(cwd, ".rv_cache")):
+            fails.append("fig 1 or fig 3 wrote a study cache")
         return fails
 
     def campaign_row(self, shards, flags):
@@ -235,6 +275,29 @@ class Matrix:
             got = md5_file(os.path.join(out_dir, name))
             if got != want:
                 fails.append("%s md5 %s != pinned %s" % (name, got, want))
+        if shards == 1 and not flags and not fails:
+            fails += self.bad_enum_spill(out_dir, cwd)
+        return fails
+
+    def bad_enum_spill(self, out_dir, cwd):
+        """retracer --spill-read rejects each out-of-range enum byte."""
+        with open(os.path.join(out_dir, "records.spill"), "rb") as f:
+            good = f.read()
+        # Header (magic, version), then the first frame: record and column
+        # counts, one u32 length per column, then the column payloads.
+        lengths = struct.unpack_from("<%dI" % SPILL_ENUM_COLUMN, good, 16)
+        enums = 16 + 4 * struct.unpack_from("<I", good, 12)[0] + sum(lengths)
+        fails = []
+        for i, count in enumerate(SPILL_ENUM_COUNTS):
+            path = os.path.join(cwd, "bad_enum%d.spill" % i)
+            with open(path, "wb") as f:
+                f.write(good[:enums + i] + bytes([count]) +
+                        good[enums + i + 1:])
+            rc, out, _ = self.run("retracer", ["--spill-read", path,
+                                               "--spill-record", "0"], cwd)
+            if rc == 0:
+                fails.append("retracer read enum byte %d = %d (out of range) "
+                             "and exited 0:\n%s" % (i, count, out))
         return fails
 
     def sharded(self, shards, flags, cwd, out_dir):
@@ -368,6 +431,20 @@ class Matrix:
             return ["dead shard not reported (exit %s):\n%s" % (rc, out)]
         return []
 
+    def rtspdump_tcp(self):
+        """rtspdump shows a TCP session's control exchange and media."""
+        rc, out, err = self.run("rtspdump", ["--protocol", "tcp", "--clip",
+                                             "3"], self.row_dir("rtspdump tcp"))
+        if rc != 0:
+            return ["rtspdump exited %s: %s" % (rc, err[-500:])]
+        lines = out.splitlines()
+        fails = []
+        if not any(" PLAY " in line for line in lines):
+            fails.append("no PLAY line in rtspdump --protocol tcp")
+        if not any(" data " in line for line in lines):
+            fails.append("no data line in rtspdump --protocol tcp")
+        return fails
+
     def cc_ordering(self):
         """Quick CC cell: under 5% random loss BBR delivers >= 2x Reno."""
         cwd = self.row_dir("cc quick")
@@ -444,7 +521,8 @@ def main():
     jobs += [("study t%d %s" % (t, " ".join(f)), matrix.study_row, t, f)
              for t, f in STUDY]
     jobs += [("rvmerge dead shard", matrix.dead_shard),
-             ("cc quick ordering", matrix.cc_ordering)]
+             ("cc quick ordering", matrix.cc_ordering),
+             ("rtspdump tcp session", matrix.rtspdump_tcp)]
     jobs += [("strict %s %s" % (tool, " ".join(argv)), matrix.strict_row,
               tool, argv) for tool, argv in STRICT]
     t0 = time.monotonic()

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "study/analysis.h"
 #include "study/cache.h"
@@ -104,22 +107,16 @@ TEST(Study, UnavailabilityPerServerInRange) {
 
 TEST(Study, FiguresRenderNonEmpty) {
   const auto& result = small_study();
-  for (const auto& text :
-       {fig05_clips_per_user(result), fig06_rated_per_user(result),
-        fig07_user_countries(result), fig08_server_countries(result),
-        fig09_us_states(result), fig10_availability(result),
-        fig11_framerate_all(result), fig12_framerate_by_net(result),
-        fig13_bandwidth_by_net(result),
-        fig14_framerate_by_server_region(result),
-        fig15_framerate_by_user_region(result), fig16_protocol_mix(result),
-        fig17_framerate_by_protocol(result),
-        fig18_bandwidth_by_protocol(result), fig19_framerate_by_pc(result),
-        fig20_jitter_all(result), fig21_jitter_by_net(result),
-        fig22_jitter_by_server_region(result),
-        fig23_jitter_by_user_region(result),
-        fig24_jitter_by_protocol(result), fig25_jitter_by_bandwidth(result),
-        fig26_quality_all(result), fig27_quality_by_net(result),
-        fig28_quality_vs_bandwidth(result), study_summary(result)}) {
+  std::vector<int> numbers;
+  std::vector<std::string> texts = {fig03_geography(), study_summary(result)};
+  for (const Figure& fig : kFigures) {
+    numbers.push_back(fig.number);
+    texts.push_back(fig.render(result));
+  }
+  std::vector<int> paper_order(24);
+  std::iota(paper_order.begin(), paper_order.end(), 5);
+  EXPECT_EQ(numbers, paper_order);  // Figures 5..28, each once, in order
+  for (const auto& text : texts) {
     EXPECT_GT(text.size(), 50u);
     EXPECT_NE(text.find("measured"), std::string::npos);
   }

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "media/catalog.h"
+#include "media/stream_wire.h"
+#include "study/cache.h"
 #include "study/study.h"
 #include "tracer/rating.h"
 #include "tracer/real_tracer.h"
+#include "util/bytes.h"
 #include "world/region_graph.h"
 
 namespace rv::tracer {
@@ -136,6 +143,44 @@ TEST_F(TracerFixture, RunSingleDeterministic) {
   EXPECT_EQ(a.stats.measured_fps, b.stats.measured_fps);
   EXPECT_EQ(a.stats.bytes_received, b.stats.bytes_received);
   EXPECT_EQ(a.stats.jitter_ms, b.stats.jitter_ms);
+}
+
+// Every field the study cache codes for `rec`, as the cache's bytes.
+std::string cache_bytes(const TraceRecord& rec) {
+  study::StudyResult result;
+  result.records = {rec};
+  const std::string path = ::testing::TempDir() + "/tracer_tap.cache";
+  EXPECT_TRUE(study::save_result(path, study::StudyConfig{}, result));
+  std::string bytes;
+  EXPECT_TRUE(util::read_file(path, bytes));
+  return bytes;
+}
+
+TEST_F(TracerFixture, DeliveryTapOnlyObservesTheSession) {
+  for (const bool force_tcp : {false, true}) {
+    SCOPED_TRACE(force_tcp ? "tcp" : "auto");
+    const auto user = healthy_user();
+    const auto plain = tracer_.run_single(user, 2, 4242, force_tcp);
+    std::vector<std::string> methods;
+    const auto tapped = tracer_.run_single(
+        user, 2, 4242, force_tcp, /*play_faults=*/nullptr,
+        [&](const net::Packet& p, net::NodeId at_node, SimTime) {
+          if (at_node != p.dst) return;
+          for (const auto& chunk : p.chunks) {
+            if (const auto* text = dynamic_cast<const media::RtspTextMeta*>(
+                    chunk.meta.get())) {
+              methods.push_back(text->text.substr(0, text->text.find(' ')));
+            }
+          }
+        });
+    EXPECT_TRUE(plain.stats.played_any_frame);
+    EXPECT_EQ(cache_bytes(tapped), cache_bytes(plain));
+    for (const char* method : {"DESCRIBE", "SETUP", "PLAY"}) {
+      EXPECT_NE(std::find(methods.begin(), methods.end(), method),
+                methods.end())
+          << method;
+    }
+  }
 }
 
 TEST_F(TracerFixture, ForceTcpUsesTcp) {

@@ -7,6 +7,56 @@
 #include "transport/congestion_control.h"
 
 namespace rv::tools {
+namespace {
+
+// One name a flag accepts and the value it sets.
+template <typename T>
+struct Named {
+  std::string_view name;
+  T value;
+};
+
+constexpr Named<world::ConnectionClass> kConnections[] = {
+    {"modem", world::ConnectionClass::kModem56k},
+    {"dsl", world::ConnectionClass::kDslCable},
+    {"t1", world::ConnectionClass::kT1Lan},
+    {"lan", world::ConnectionClass::kT1Lan},
+};
+
+constexpr Named<world::Region> kRegions[] = {
+    {"us-east", world::Region::kUsEast},
+    {"us-west", world::Region::kUsWest},
+    {"europe", world::Region::kEurope},
+    {"asia", world::Region::kAsia},
+    {"japan", world::Region::kJapan},
+    {"australia", world::Region::kAustralia},
+    {"s-america", world::Region::kSouthAmerica},
+    {"middle-east", world::Region::kMiddleEast},
+};
+
+// --protocol: whether the play skips the UDP attempt.
+constexpr Named<bool> kProtocols[] = {{"auto", false}, {"tcp", true}};
+
+// Sets *out to the value `flag` names in `table`; leaves it alone when the
+// flag is absent. Any other name, an empty one included, is an error.
+template <typename T, std::size_t N>
+bool parse_named(const util::Args& args, const char* flag,
+                 const Named<T> (&table)[N], T* out, std::ostream& err) {
+  const auto given = args.get(flag);
+  if (!given) return true;
+  for (const auto& [name, value] : table) {
+    if (*given == name) {
+      *out = value;
+      return true;
+    }
+  }
+  err << "--" << flag << " expects one of " << table[0].name;
+  for (std::size_t i = 1; i < N; ++i) err << "|" << table[i].name;
+  err << " (got '" << *given << "')\n";
+  return false;
+}
+
+}  // namespace
 
 bool parse_shared_flags(const util::Args& args, bool with_watch,
                         tracer::TracerConfig* tracer, SharedFlags* out,
@@ -84,6 +134,34 @@ std::vector<std::string_view> shared_flag_names(bool with_watch) {
       "status-port", "status-hold-ms", "telemetry-interval-ms"};
   if (with_watch) names.push_back("watch");
   return names;
+}
+
+bool parse_single_play(const util::Args& args, SinglePlay* out,
+                       std::ostream& err) {
+  out->seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
+  out->clip = args.get_int("clip", 0);
+  world::UserProfile& user = out->user;
+  user.country = "US";
+  user.us_state = "MA";
+  user.region = world::Region::kUsEast;
+  user.group = world::UserRegionGroup::kUsCanada;
+  user.connection = world::ConnectionClass::kDslCable;
+  user.pc_class = args.get_or("pc", "Pentium II / 128-256");
+  user.isp_load_lo = 0.3;
+  user.isp_load_hi = 0.6;
+  user.seed = out->seed;
+  return parse_named(args, "connection", kConnections, &user.connection,
+                     err) &&
+         parse_named(args, "region", kRegions, &user.region, err) &&
+         parse_named(args, "protocol", kProtocols, &out->force_tcp, err);
+}
+
+tracer::TraceRecord SinglePlay::run(const tracer::RealTracer& tracer,
+                                    const media::Catalog& catalog,
+                                    net::Network::DeliveryTap tap) const {
+  const std::size_t index = playlist_index(catalog);
+  return tracer.run_single(user, index, seed * 7919 + index, force_tcp,
+                           /*play_faults=*/nullptr, std::move(tap));
 }
 
 StatusExporter::StatusExporter() { obs::install_metrics(&metrics_); }

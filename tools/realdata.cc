@@ -4,7 +4,7 @@
 //
 // Usage:
 //   realdata summary                       study totals (§IV)
-//   realdata fig <5..28>                   regenerate one paper figure
+//   realdata fig <1|3|5..28>               regenerate one paper figure
 //   realdata slice [--country US] [--connection modem|dsl|t1]
 //                  [--protocol TCP|UDP] [--server US/CNN]
 //                  [--metric fps|jitter|bandwidth|rating]
@@ -25,9 +25,12 @@
 //        Like --trace, these force a fresh run: series live only in memory.
 //        Malformed numeric flag values, a --scale outside (0, 1], a negative
 //        --threads and any flag the command does not take are an error
-//        (exit 2), not a silent fallback to the default. `campaign` never
-//        holds the in-memory study, so it rejects --trace, --trace-play,
-//        --series-csv, --flight-dir, --profile and --cache-dir (exit 2).
+//        (exit 2), not a silent fallback to the default, and so are an
+//        unknown command or figure number; all are checked before any
+//        study work. `campaign` never holds the in-memory study and
+//        `fig 1` / `fig 3` need none, so they reject --trace,
+//        --trace-play, --series-csv, --flight-dir, --profile and
+//        --cache-dir (exit 2).
 //        --status-port <0..65535> (embedded HTTP status exporter on
 //        127.0.0.1: GET /metrics Prometheus text, /progress JSON, /healthz;
 //        0 picks an ephemeral port, announced on stderr),
@@ -38,6 +41,7 @@
 //        are identical with the exporter on or off.
 #include <unistd.h>
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -71,20 +75,21 @@ int cmd_summary(const study::StudyResult& result) {
   return 0;
 }
 
-int cmd_fig(const study::StudyResult& result, const study::StudyConfig& cfg,
-            int fig) {
-  if (fig == 1) {
-    std::cout << study::fig01_buffering(cfg);
-    return 0;
-  }
+constexpr std::string_view kCommands[] = {
+    "summary", "fig", "slice", "users", "servers", "export", "campaign"};
+
+// The flags that trace, export, profile or cache an in-memory StudyResult.
+// `campaign` folds records into a rollup instead, and `fig 1` / `fig 3`
+// need no study, so those commands reject them.
+constexpr const char* kStudyOnlyFlags[] = {
+    "trace", "trace-play", "series-csv", "flight-dir", "profile", "cache-dir"};
+
+// Figures 1 and 3 render without a study; the rest come from kFigures.
+const study::Figure* study_figure(int fig) {
   for (const study::Figure& f : study::kFigures) {
-    if (f.number == fig) {
-      std::cout << f.render(result);
-      return 0;
-    }
+    if (f.number == fig) return &f;
   }
-  std::cerr << "no such figure: " << fig << " (1, 5..28)\n";
-  return 1;
+  return nullptr;
 }
 
 int cmd_slice(const study::StudyResult& result, const util::Args& args) {
@@ -437,18 +442,37 @@ int main(int argc, char** argv) {
     return args.has("help") ? 0 : 1;
   }
 
-  // A campaign folds records into a rollup and never holds an in-memory
-  // StudyResult, so the flags that export, profile or cache one have
-  // nothing to act on there.
+  // The command and figure number are checked before anything else: a
+  // typo must not cost a study run.
   const std::string& command = args.positional()[0];
+  if (std::find(std::begin(kCommands), std::end(kCommands), command) ==
+      std::end(kCommands)) {
+    std::cerr << "unknown command: " << command
+              << " (summary|fig N|slice|users|servers|export DIR|campaign)\n";
+    return 2;
+  }
+  int fig = 0;
+  if (command == "fig") {
+    const std::string number =
+        args.positional().size() > 1 ? args.positional()[1] : "";
+    const auto parsed = util::parse_int(number);
+    if (parsed && (*parsed == 1 || *parsed == 3 ||
+                   study_figure(static_cast<int>(*parsed)) != nullptr)) {
+      fig = static_cast<int>(*parsed);
+    } else {
+      std::cerr << "fig requires a figure number: 1, 3 or 5..28 (got '"
+                << number << "')\n";
+      return 2;
+    }
+  }
   const bool campaign = command == "campaign";
-  if (campaign) {
-    for (const char* flag : {"trace", "trace-play", "series-csv",
-                             "flight-dir", "profile", "cache-dir"}) {
+  const bool needs_study = !campaign && fig != 1 && fig != 3;
+  if (!needs_study) {
+    for (const char* flag : kStudyOnlyFlags) {
       if (args.has(flag)) {
-        std::cerr << "--" << flag
-                  << " needs the in-memory study; campaign does not take "
-                     "it\n";
+        std::cerr << "--" << flag << " needs the in-memory study; "
+                  << command << (fig != 0 ? " " + std::to_string(fig) : "")
+                  << " does not take it\n";
         return 2;
       }
     }
@@ -580,6 +604,11 @@ int main(int argc, char** argv) {
     for (const auto& err : args.errors()) std::cerr << err << "\n";
     return 2;
   }
+  if (!needs_study) {
+    std::cout << (fig == 1 ? study::fig01_buffering(config)
+                           : study::fig03_geography());
+    return 0;
+  }
   // Traces, series and profiles live only in memory, so such a run cannot be
   // satisfied from the cache; it re-runs and re-saves byte-identical cache
   // contents.
@@ -624,34 +653,21 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  int rc = 1;
+  int rc = 0;
   if (command == "summary") {
     rc = cmd_summary(result);
   } else if (command == "fig") {
-    if (args.positional().size() < 2) {
-      std::cerr << "fig requires a figure number\n";
-      return 1;
-    }
-    const auto fig = util::parse_int(args.positional()[1]);
-    if (!fig) {
-      std::cerr << "fig requires a figure number, got '"
-                << args.positional()[1] << "'\n";
-      return 2;
-    }
-    rc = cmd_fig(result, config, static_cast<int>(*fig));
+    std::cout << study_figure(fig)->render(result);
   } else if (command == "slice") {
     rc = cmd_slice(result, args);
   } else if (command == "users") {
     rc = cmd_users(result);
   } else if (command == "servers") {
     rc = cmd_servers(result);
-  } else if (command == "export") {
+  } else {  // export: main() accepted no other command
     rc = cmd_export(result, args.positional().size() > 1
                                 ? args.positional()[1]
                                 : "realdata_export");
-  } else {
-    std::cerr << "unknown command: " << command << "\n";
-    return 1;
   }
   // The bottleneck/rollup table and the worker profile ride along after
   // whichever command ran.

@@ -30,6 +30,7 @@
 // 127.0.0.1 while the play runs (0 = ephemeral, announced on stderr);
 // --status-hold-ms keeps serving after the play finishes so a scraper can
 // observe the final counters. --watch must be a positive number of seconds.
+// An unknown --connection, --region or --protocol name exits 2.
 #include <exception>
 #include <iostream>
 #include <string_view>
@@ -46,34 +47,7 @@
 #include "util/strings.h"
 #include "world/region_graph.h"
 
-namespace {
-
 using namespace rv;
-
-world::ConnectionClass parse_connection(const std::string& s) {
-  if (s == "modem") return world::ConnectionClass::kModem56k;
-  if (s == "t1" || s == "lan") return world::ConnectionClass::kT1Lan;
-  return world::ConnectionClass::kDslCable;
-}
-
-world::Region parse_region(const std::string& s) {
-  const std::pair<const char*, world::Region> table[] = {
-      {"us-east", world::Region::kUsEast},
-      {"us-west", world::Region::kUsWest},
-      {"europe", world::Region::kEurope},
-      {"asia", world::Region::kAsia},
-      {"japan", world::Region::kJapan},
-      {"australia", world::Region::kAustralia},
-      {"s-america", world::Region::kSouthAmerica},
-      {"middle-east", world::Region::kMiddleEast},
-  };
-  for (const auto& [name, region] : table) {
-    if (s == name) return region;
-  }
-  return world::Region::kUsEast;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
@@ -159,9 +133,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  tools::SinglePlay play;
+  if (!tools::parse_single_play(args, &play, std::cerr)) return 2;
   study::StudyConfig study_cfg;
-  study_cfg.seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2001));
+  study_cfg.seed = play.seed;
   const media::Catalog catalog = study::make_catalog(study_cfg);
   const world::RegionGraph graph;
 
@@ -173,21 +148,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const tracer::RealTracer tracer(catalog, graph, tracer_cfg);
-
-  world::UserProfile user;
-  user.country = "US";
-  user.us_state = "MA";
-  user.region = parse_region(args.get_or("region", "us-east"));
-  user.group = world::UserRegionGroup::kUsCanada;
-  user.connection = parse_connection(args.get_or("connection", "dsl"));
-  user.pc_class = args.get_or("pc", "Pentium II / 128-256");
-  user.isp_load_lo = 0.3;
-  user.isp_load_hi = 0.6;
-  user.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
-
-  const auto playlist_index = static_cast<std::size_t>(
-      args.get_int("clip", 0)) % catalog.size();
-  const bool force_tcp = args.get_or("protocol", "auto") == "tcp";
+  const world::UserProfile& user = play.user;
+  const std::size_t playlist_index = play.playlist_index(catalog);
 
   if (!args.errors().empty()) {
     for (const auto& err : args.errors()) std::cerr << err << "\n";
@@ -198,9 +160,7 @@ int main(int argc, char** argv) {
   if (!status.start(flags, std::cerr)) return 2;
   obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned, 1);
 
-  const auto rec = tracer.run_single(
-      user, playlist_index,
-      user.seed * 7919 + playlist_index, force_tcp);
+  const auto rec = play.run(tracer, catalog);
   obs::metrics_add(obs::Metric::kPlaysCompleted);
   obs::metrics_add(obs::Metric::kUsersCompleted);
   if (rec.analyzable()) {
